@@ -28,6 +28,7 @@ from ..embedding import (
     ranking_metrics,
 )
 from ..kg import AlignmentSet, EADataset, KnowledgeGraph, Triple
+from .sparse import SparseAdjacency
 
 
 @dataclass
@@ -407,31 +408,42 @@ def build_adjacency(
     kg2: KnowledgeGraph,
     index: EntityIndex,
     seed_alignment: AlignmentSet | None = None,
-) -> "np.ndarray":
+) -> SparseAdjacency:
     """Symmetric, degree-normalised adjacency matrix over both KGs.
 
-    Returns a dense ``(n, n)`` matrix ``D^{-1/2} (A + I) D^{-1/2}`` of the
-    union graph, which is the propagation operator used by the GCN-based
-    models.  When *seed_alignment* is given, cross-KG edges are added
-    between seed-aligned entities so that information propagates across the
-    two graphs (the standard seed-fusion trick of GCN-based EA models:
-    counterpart entities then share actual neighbours, which is what lets
-    the encoder generalise beyond the seed set).
+    Returns the sparse ``(n, n)`` operator ``D^{-1/2} (A + I) D^{-1/2}`` of
+    the union graph, which is the propagation operator used by the
+    GCN-based models: ``A`` holds a 1 for every entity pair joined by a
+    triple in either direction, ``I`` adds a self-loop to every entity,
+    and ``D`` holds the row sums of ``A + I``.  When *seed_alignment* is
+    given, cross-KG edges are added between seed-aligned entities so that
+    information propagates across the two graphs (the standard seed-fusion
+    trick of GCN-based EA models: counterpart entities then share actual
+    neighbours, which is what lets the encoder generalise beyond the seed
+    set).
     """
     n = index.num_entities()
-    adjacency = np.zeros((n, n))
+    heads, tails = [], []
     for kg in (kg1, kg2):
         ids = index.triples_to_ids(list(kg.triples))
-        if len(ids):
-            adjacency[ids[:, 0], ids[:, 2]] = 1.0
-            adjacency[ids[:, 2], ids[:, 0]] = 1.0
+        heads.append(ids[:, 0])
+        tails.append(ids[:, 2])
     if seed_alignment is not None and len(seed_alignment):
         pairs = list(seed_alignment)
-        rows = index.entity_ids([source for source, _ in pairs])
-        cols = index.entity_ids([target for _, target in pairs])
-        adjacency[rows, cols] = 1.0
-        adjacency[cols, rows] = 1.0
-    adjacency[np.diag_indices(n)] += 1.0
-    degrees = adjacency.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(np.maximum(degrees, 1e-12))
-    return adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
+        heads.append(index.entity_ids([source for source, _ in pairs]))
+        tails.append(index.entity_ids([target for _, target in pairs]))
+    heads = np.concatenate(heads).astype(np.int64)
+    tails = np.concatenate(tails).astype(np.int64)
+    # An edge counts once however many triples join its two entities.
+    edges = np.unique(np.concatenate([heads * n + tails, tails * n + heads]))
+    diagonal = np.arange(n)
+    adjacency = SparseAdjacency.from_coo(
+        np.concatenate([edges // n, diagonal]),
+        np.concatenate([edges % n, diagonal]),
+        np.ones(len(edges) + n),
+        n,
+    )
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(adjacency.row_sums(), 1e-12))
+    return adjacency.with_data(
+        adjacency.data * inv_sqrt[adjacency.rows] * inv_sqrt[adjacency.indices]
+    )

@@ -35,6 +35,7 @@ from ..embedding import l2_normalize_rows, make_optimizer
 from ..kg import EADataset, KnowledgeGraph
 from .base import EAModel, EntityIndex
 from .gcn import GCNEncoder, logsumexp_mining_gradient
+from .sparse import SparseAdjacency
 
 
 class DualAMN(EAModel):
@@ -71,7 +72,7 @@ class DualAMN(EAModel):
         source_ids = np.array([index.entity_to_id[s] for s, _ in seed_pairs], dtype=int)
         target_ids = np.array([index.entity_to_id[t] for _, t in seed_pairs], dtype=int)
 
-        output = encoder.forward(np.eye(index.num_entities()))
+        output = encoder.forward(SparseAdjacency.identity(index.num_entities()))
         adjacency = self._attention_adjacency(triples, index, output, source_ids, target_ids)
         for epoch in range(self.epochs):
             if epoch > 0 and epoch % self.refresh_interval == 0:
@@ -194,7 +195,7 @@ class DualAMN(EAModel):
         entity_matrix: np.ndarray,
         seed_source_ids: np.ndarray,
         seed_target_ids: np.ndarray,
-    ) -> np.ndarray:
+    ) -> SparseAdjacency:
         """Attention-weighted propagation matrix (recomputed periodically).
 
         The raw attention score of edge ``(i, r, j)`` is the dot product of
@@ -205,7 +206,8 @@ class DualAMN(EAModel):
         the two graphs.
         """
         n = index.num_entities()
-        adjacency = np.zeros((n, n))
+        heads = tails = np.zeros(0, dtype=np.int64)
+        weights = np.zeros(0)
         if triples.shape[0]:
             relation_matrix = self._relation_embeddings(triples, index, entity_matrix)
             heads, relations, tails = triples[:, 0], triples[:, 1], triples[:, 2]
@@ -216,12 +218,25 @@ class DualAMN(EAModel):
             # temperature is comparable across refreshes.
             scale = np.std(scores) + 1e-8
             weights = np.exp(np.clip(scores / scale, -10.0, 10.0))
-            np.add.at(adjacency, (heads, tails), weights)
-            np.add.at(adjacency, (tails, heads), weights)
+        edges = SparseAdjacency.from_coo(
+            np.concatenate([heads, tails]),
+            np.concatenate([tails, heads]),
+            np.concatenate([weights, weights]),
+            n,
+        )
+        rows, cols, values = [edges.rows], [edges.indices], [edges.data]
         if seed_source_ids.size:
-            mean_weight = adjacency[adjacency > 0].mean() if np.any(adjacency > 0) else 1.0
-            adjacency[seed_source_ids, seed_target_ids] += mean_weight
-            adjacency[seed_target_ids, seed_source_ids] += mean_weight
-        adjacency += np.eye(n)
-        row_sums = adjacency.sum(axis=1, keepdims=True)
-        return adjacency / np.maximum(row_sums, 1e-12)
+            positive = edges.data[edges.data > 0]
+            mean_weight = positive.mean() if positive.size else 1.0
+            rows += [seed_source_ids, seed_target_ids]
+            cols += [seed_target_ids, seed_source_ids]
+            values.append(np.full(2 * seed_source_ids.size, mean_weight))
+        diagonal = np.arange(n)
+        adjacency = SparseAdjacency.from_coo(
+            np.concatenate(rows + [diagonal]),
+            np.concatenate(cols + [diagonal]),
+            np.concatenate(values + [np.ones(n)]),
+            n,
+        )
+        row_sums = np.maximum(adjacency.row_sums(), 1e-12)
+        return adjacency.with_data(adjacency.data / row_sums[adjacency.rows])

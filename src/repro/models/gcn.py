@@ -10,8 +10,11 @@ The encoder computes
 where ``X`` are learnable input features and ``\\hat{A}`` is a (normalised)
 propagation matrix supplied by the caller — the plain symmetric-normalised
 adjacency for GCN-Align, an attention-weighted adjacency for Dual-AMN.
-Gradients with respect to ``X``, ``W_1`` and ``W_2`` are computed manually
-from an upstream gradient on the output embeddings.
+Both models pass a :class:`~repro.models.sparse.SparseAdjacency`; the
+encoder only needs ``\\hat{A} @ M`` and ``\\hat{A}.T @ M`` for dense ``M``,
+so a dense ``(n, n)`` array works as well.  Gradients with respect to
+``X``, ``W_1`` and ``W_2`` are computed manually from an upstream gradient
+on the output embeddings.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..embedding import Optimizer, xavier_uniform
+from .sparse import SparseAdjacency
 
 
 @dataclass
@@ -55,7 +59,7 @@ class GCNEncoder:
         self._cache: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    def forward(self, adjacency: np.ndarray) -> np.ndarray:
+    def forward(self, adjacency: SparseAdjacency | np.ndarray) -> np.ndarray:
         """Return output embeddings ``H`` and cache intermediates for backward."""
         propagated_features = adjacency @ self.features
         pre_activation = propagated_features @ self.weight1

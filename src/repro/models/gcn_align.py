@@ -29,6 +29,7 @@ from ..embedding import l2_normalize_rows, make_optimizer
 from ..kg import EADataset
 from .base import EAModel, EntityIndex, build_adjacency
 from .gcn import GCNEncoder, pair_margin_gradient
+from .sparse import SparseAdjacency
 
 
 class GCNAlign(EAModel):
@@ -82,7 +83,7 @@ class GCNAlign(EAModel):
 
     @staticmethod
     def _seed_propagation(
-        adjacency: np.ndarray,
+        adjacency: SparseAdjacency,
         index: EntityIndex,
         source_ids: np.ndarray,
         target_ids: np.ndarray,

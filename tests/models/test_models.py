@@ -21,6 +21,7 @@ from repro.models import (
     make_model,
 )
 from repro.models.gcn import GCNEncoder, logsumexp_mining_gradient, pair_margin_gradient
+from repro.models.sparse import SparseAdjacency
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +67,9 @@ class TestEntityIndex:
 class TestAdjacency:
     def test_adjacency_is_symmetric_and_normalized(self, tiny_dataset):
         index = EntityIndex(tiny_dataset)
-        adjacency = build_adjacency(tiny_dataset.kg1, tiny_dataset.kg2, index)
-        assert adjacency.shape == (index.num_entities(), index.num_entities())
+        n = index.num_entities()
+        adjacency = build_adjacency(tiny_dataset.kg1, tiny_dataset.kg2, index) @ np.eye(n)
+        assert adjacency.shape == (n, n)
         assert np.allclose(adjacency, adjacency.T)
         assert np.all(adjacency.diagonal() > 0)
 
@@ -186,12 +188,15 @@ class TestGCNInternals:
         with pytest.raises(RuntimeError):
             encoder.backward(np.zeros((3, 2)))
 
-    def test_encoder_gradient_matches_finite_differences(self):
+    @staticmethod
+    def _encoder_and_adjacency():
         rng = np.random.default_rng(0)
         encoder = GCNEncoder(num_nodes=5, input_dim=3, hidden_dim=4, output_dim=2, rng=rng)
         adjacency = np.abs(rng.normal(size=(5, 5)))
-        adjacency = (adjacency + adjacency.T) / 2
+        return encoder, (adjacency + adjacency.T) / 2
 
+    @staticmethod
+    def _assert_gradient_matches_finite_differences(encoder, adjacency):
         def loss_value():
             return 0.5 * np.sum(encoder.forward(adjacency) ** 2)
 
@@ -212,6 +217,16 @@ class TestGCNInternals:
             parameter[idx] = original
             numeric = (plus - minus) / (2 * epsilon)
             assert gradient[idx] == pytest.approx(numeric, rel=1e-4, abs=1e-6)
+
+    def test_encoder_gradient_matches_finite_differences(self):
+        encoder, adjacency = self._encoder_and_adjacency()
+        self._assert_gradient_matches_finite_differences(encoder, adjacency)
+
+    def test_encoder_gradient_matches_finite_differences_sparse(self):
+        encoder, dense = self._encoder_and_adjacency()
+        rows, cols = np.nonzero(dense)
+        adjacency = SparseAdjacency.from_coo(rows, cols, dense[rows, cols], len(dense))
+        self._assert_gradient_matches_finite_differences(encoder, adjacency)
 
     def test_pair_margin_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)

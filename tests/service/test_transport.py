@@ -521,8 +521,12 @@ class TestConnectionFailures:
         assert len(connections_seen) == 2  # one re-dial, no more
         assert [request["n"] for request in requests_answered] == [1, 2]
         client.close()
+        # close() alone leaves the server thread blocked in accept();
+        # shutdown() wakes it with an OSError.
+        listener.shutdown(socket.SHUT_RDWR)
         listener.close()
         server.join(timeout=10)
+        assert not server.is_alive()
 
     def test_timeout_raises_without_retrying_the_request(self):
         """A slow server means timeout, not retry: re-sending would double
