@@ -72,6 +72,11 @@ _FUSE_MIN_PLANS = 4
 _STORE_DEAD_ROW_FACTOR = 4
 _STORE_DEAD_ROW_MIN = 4096
 
+#: Rows :meth:`PathEmbeddingStore.append` embeds and normalises per step.
+#: Repair batches bring thousands of new paths at once; blocks keep the
+#: temporaries small and are written straight into the store.
+_APPEND_BLOCK_ROWS = 256
+
 #: Anything answering ``targets_of(source) -> set[str]`` — a full
 #: :class:`repro.kg.AlignmentSet` or a live :class:`repro.kg.AlignmentUnionView`.
 AlignmentLike = object
@@ -113,60 +118,63 @@ class PathEmbeddingStore:
         return self._unit[row_ids]
 
     def append(self, id_pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> int:
-        """Embed *id_pairs* in one vectorised batch; returns the base row id.
+        """Embed *id_pairs* into the store; returns the base row id.
 
         Each item is ``(entity_ids, relation_ids)`` already mapped into the
         model's index (the engine precomputes them during path
         enumeration), so embedding needs no string lookups.  Rows
-        ``base .. base + len(id_pairs) - 1`` follow input order.
+        ``base .. base + len(id_pairs) - 1`` follow input order.  They are
+        embedded and normalised in place, :data:`_APPEND_BLOCK_ROWS` at a
+        time, so a large batch needs no full-size temporaries; each row is
+        computed on its own, so the block split does not change a bit.
         """
-        raw = self._embed(id_pairs)
-        norms = np.maximum(np.linalg.norm(raw, axis=1, keepdims=True), _EPS)
-        unit = raw / norms
+        assert self.model.entity_matrix is not None
+        width = 2 * self.model.entity_matrix.shape[1]
         base = self._size
         # Amortised append: double the backing capacity instead of
         # re-concatenating the whole matrix on every small batch.
         needed = base + len(id_pairs)
         if self._unit is None:
             capacity = max(needed, 256)
-            self._unit = np.zeros((capacity, unit.shape[1]))
+            self._unit = np.zeros((capacity, width))
         elif needed > self._unit.shape[0]:
             capacity = max(needed, 2 * self._unit.shape[0])
-            grown = np.zeros((capacity, self._unit.shape[1]))
+            grown = np.zeros((capacity, width))
             grown[:base] = self._unit[:base]
             self._unit = grown
-        self._unit[base:needed] = unit
+        for start in range(0, len(id_pairs), _APPEND_BLOCK_ROWS):
+            block = id_pairs[start : start + _APPEND_BLOCK_ROWS]
+            rows = self._unit[base + start : base + start + len(block)]
+            self._embed_into(block, rows)
+            rows /= np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), _EPS)
         self._size = needed
         return base
 
     # ------------------------------------------------------------------
-    def _embed(
-        self, id_pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    ) -> np.ndarray:
-        """Eq. 2 for a batch of paths, grouped by length for fancy indexing.
+    def _embed_into(
+        self, id_pairs: list[tuple[tuple[int, ...], tuple[int, ...]]], out: np.ndarray
+    ) -> None:
+        """Eq. 2 for a batch of paths into the rows of *out*, grouped by length.
 
         The entity part averages the source and intermediate entities (the
         final neighbour is excluded), the relation part averages the
-        relation embeddings; the two halves are concatenated — exactly
-        :func:`repro.core.explanation.paths.path_embedding`, many rows at
-        a time over precomputed id tuples.
+        relation embeddings; the two halves are written side by side —
+        exactly :func:`repro.core.explanation.paths.path_embedding`, many
+        rows at a time over precomputed id tuples.
         """
         model = self.model
         assert model.entity_matrix is not None
         entity_matrix = model.entity_matrix
         relation_matrix = model.relation_embedding_matrix()
         dim = entity_matrix.shape[1]
-        out = np.zeros((len(id_pairs), 2 * dim))
         by_length: dict[int, list[int]] = {}
         for position, (_, relation_ids) in enumerate(id_pairs):
             by_length.setdefault(len(relation_ids), []).append(position)
         for length, positions in by_length.items():
             entity_ids = np.array([id_pairs[i][0] for i in positions], dtype=np.int64)
             relation_ids = np.array([id_pairs[i][1] for i in positions], dtype=np.int64)
-            entity_part = entity_matrix[entity_ids].sum(axis=1) / length
-            relation_part = relation_matrix[relation_ids].sum(axis=1) / length
-            out[positions] = np.concatenate([entity_part, relation_part], axis=1)
-        return out
+            out[positions, :dim] = entity_matrix[entity_ids].sum(axis=1) / length
+            out[positions, dim:] = relation_matrix[relation_ids].sum(axis=1) / length
 
 
 class ExplanationEngine:

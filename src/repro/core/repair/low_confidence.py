@@ -9,6 +9,13 @@ explanation, scores them by ``confidence + alpha * model similarity``
 (balancing local explanation evidence against the model's global view),
 and arbitrates collisions by the same score.  Sources that still cannot be
 aligned at the end are greedily matched with the remaining free targets.
+
+Confidence comes from a batch oracle, one call per scoring round: each
+iteration scores every unprotected working pair at once, and each
+unaligned source scores all of its candidates at once.  The working
+alignment does not change inside a round.  A challenged holder is scored
+only when a collision needs it, as a batch of one, so no confidence is
+computed that a pair-at-a-time loop would not compute.
 """
 
 from __future__ import annotations
@@ -17,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ...kg import AlignmentSet, AlignmentUnionView, EADataset
+from .one_to_many import ConfidenceBatchFn
 
-#: ``confidence(source, target, alignment)`` oracle, as in Algorithm 1.
-ConfidenceFn = Callable[[str, str, AlignmentSet], float]
 #: ``similarity(source, target)`` from the original EA model.
 SimilarityFn = Callable[[str, str], float]
 
@@ -37,12 +43,12 @@ class LowConfidenceRepairResult:
 
 
 class LowConfidenceRepairer:
-    """Implements Algorithm 2 on top of a confidence / similarity oracle."""
+    """Implements Algorithm 2 on top of a batch confidence / similarity oracle."""
 
     def __init__(
         self,
         dataset: EADataset,
-        confidence: ConfidenceFn,
+        confidence_batch: ConfidenceBatchFn,
         similarity: SimilarityFn,
         seed_alignment: AlignmentSet,
         beta: float = 0.5,
@@ -53,7 +59,7 @@ class LowConfidenceRepairer:
         allow_takeover: bool = True,
     ) -> None:
         self.dataset = dataset
-        self.confidence = confidence
+        self.confidence_batch = confidence_batch
         self.similarity = similarity
         self.seed_alignment = seed_alignment
         self.beta = beta
@@ -65,6 +71,7 @@ class LowConfidenceRepairer:
         # stage must not arbitrate target collisions either — otherwise it
         # would silently re-introduce the ablated capability.
         self.allow_takeover = allow_takeover
+        self._test_targets = dataset.test_targets()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -77,17 +84,12 @@ class LowConfidenceRepairer:
         self, working: AlignmentSet, protected: set[tuple[str, str]]
     ) -> list[tuple[str, str]]:
         """Pairs of *working* whose explanation confidence falls below beta."""
-        reference = self._reference(working)
-        flagged = []
-        for source, target in sorted(working.pairs):
-            if (source, target) in protected:
-                continue
-            # A confidence of exactly beta (= sigmoid(0)) means the ADG has
-            # no influential edges at all, which is the canonical
-            # low-confidence case, so the comparison is inclusive.
-            if self.confidence(source, target, reference) <= self.beta:
-                flagged.append((source, target))
-        return flagged
+        pairs = [pair for pair in sorted(working.pairs) if pair not in protected]
+        confidences = self.confidence_batch(pairs, self._reference(working))
+        # A confidence of exactly beta (= sigmoid(0)) means the ADG has no
+        # influential edges at all, which is the canonical low-confidence
+        # case, so the comparison is inclusive.
+        return [pair for pair in pairs if confidences[pair] <= self.beta]
 
     def _candidates(self, source: str, working: AlignmentSet) -> list[str]:
         """Candidate targets whose neighbourhood shares an aligned entity with *source*.
@@ -110,7 +112,6 @@ class LowConfidenceRepairer:
             return []
         candidates: list[str] = []
         seen: set[int] = set()
-        valid_targets = self.dataset.test_targets() | working.targets()
         entities1 = index1.entities
         entities2 = index2.entities
         for neighbor1_id in index1.neighbor_ids(source_id):
@@ -123,18 +124,20 @@ class LowConfidenceRepairer:
                         continue
                     seen.add(candidate_id)
                     candidate = entities2[candidate_id]
-                    if candidate not in valid_targets:
+                    # Valid targets: test targets and currently aligned ones.
+                    if candidate not in self._test_targets and not working.sources_of(candidate):
                         continue
                     candidates.append(candidate)
                     if len(candidates) >= self.max_candidates:
                         return candidates
         return candidates
 
-    def _score(self, source: str, target: str, reference: AlignmentSet) -> float:
-        """Alignment score: explanation confidence plus scaled model similarity."""
-        return self.confidence(source, target, reference) + self.score_alpha * self.similarity(
-            source, target
-        )
+    def _scores(
+        self, pairs: list[tuple[str, str]], reference: AlignmentUnionView
+    ) -> list[float]:
+        """Alignment scores of *pairs*: explanation confidence plus scaled model similarity."""
+        confidences = self.confidence_batch(pairs, reference)
+        return [confidences[pair] + self.score_alpha * self.similarity(*pair) for pair in pairs]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -170,10 +173,8 @@ class LowConfidenceRepairer:
                 if not candidates:
                     still_unaligned.add(source)
                     continue
-                scored = sorted(
-                    ((self._score(source, candidate, reference), candidate) for candidate in candidates),
-                    key=lambda item: (-item[0], item[1]),
-                )
+                scores = self._scores([(source, candidate) for candidate in candidates], reference)
+                scored = sorted(zip(scores, candidates), key=lambda item: (-item[0], item[1]))
                 aligned = False
                 for score, target in scored[: self.k]:
                     holders = working.sources_of(target)
@@ -186,7 +187,7 @@ class LowConfidenceRepairer:
                     if not self.allow_takeover:
                         continue
                     holder = next(iter(holders))
-                    holder_score = self._score(holder, target, reference)
+                    (holder_score,) = self._scores([(holder, target)], reference)
                     if score > holder_score:
                         working.remove(holder, target)
                         working.add(source, target)
@@ -214,7 +215,7 @@ class LowConfidenceRepairer:
         """Greedily match leftover sources with still-free targets by similarity."""
         if not unaligned:
             return
-        free_targets = sorted(self.dataset.test_targets() - working.targets())
+        free_targets = sorted(self._test_targets - working.targets())
         if not free_targets:
             return
         for source in sorted(unaligned):

@@ -6,6 +6,12 @@ distinct, at most one of those predictions can be correct.  The repair
 keeps the prediction with the highest explanation confidence, releases the
 others, and iteratively re-aligns the released sources with their top-k
 most similar targets, again arbitrating collisions by confidence.
+
+Confidence comes from a batch oracle, one call per scoring round: the
+initial arbitration scores every source of every contested target at
+once, and each re-alignment collision scores challenger and holder
+together.  The working alignment does not change inside a round, so a
+batch sees exactly what the pairs would have seen one by one.
 """
 
 from __future__ import annotations
@@ -18,11 +24,13 @@ import numpy as np
 from ...embedding import top_k_indices
 from ...kg import AlignmentSet, AlignmentUnionView
 
-#: Callable computing the explanation confidence of a candidate pair under
-#: the current working alignment: ``confidence(source, target, alignment)``.
-#: The alignment argument may be an :class:`AlignmentSet` or a live
-#: :class:`AlignmentUnionView` (working ∪ seed).
-ConfidenceFn = Callable[[str, str, AlignmentSet], float]
+#: Batch oracle computing the explanation confidences of candidate pairs
+#: under one working alignment: ``confidence_batch(pairs, alignment)``
+#: returns ``{pair: confidence}``.  The alignment argument may be an
+#: :class:`AlignmentSet` or a live :class:`AlignmentUnionView` (working ∪ seed).
+ConfidenceBatchFn = Callable[
+    [list[tuple[str, str]], AlignmentSet | AlignmentUnionView], dict[tuple[str, str], float]
+]
 
 
 @dataclass
@@ -39,13 +47,14 @@ class OneToManyRepairResult:
 
 def resolve_to_one_to_one(
     predictions: AlignmentSet,
-    confidence: ConfidenceFn,
+    confidence_batch: ConfidenceBatchFn,
     reference_alignment: AlignmentSet | AlignmentUnionView,
 ) -> tuple[AlignmentSet, set[str], int]:
     """The ``OnetoOne`` step (line 1): keep the most confident pair per target.
 
-    Returns the one-to-one alignment, the set of released source entities,
-    and the number of conflicting targets found.
+    Every contested pair is scored in one oracle call under the fixed
+    *reference_alignment*.  Returns the one-to-one alignment, the set of
+    released source entities, and the number of conflicting targets found.
     """
     resolved = AlignmentSet()
     released: set[str] = set()
@@ -53,9 +62,13 @@ def resolve_to_one_to_one(
     for source, target in predictions:
         if target not in conflicts:
             resolved.add(source, target)
+    confidences = confidence_batch(
+        [(source, target) for target, sources in conflicts.items() for source in sources],
+        reference_alignment,
+    )
     for target, sources in sorted(conflicts.items()):
         scored = sorted(
-            ((confidence(source, target, reference_alignment), source) for source in sources),
+            ((confidences[(source, target)], source) for source in sources),
             key=lambda item: (-item[0], item[1]),
         )
         best_source = scored[0][1]
@@ -69,7 +82,7 @@ def repair_one_to_many(
     similarity: np.ndarray,
     source_entities: Sequence[str],
     target_entities: Sequence[str],
-    confidence: ConfidenceFn,
+    confidence_batch: ConfidenceBatchFn,
     seed_alignment: AlignmentSet,
     k: int = 5,
     max_iterations: int = 20,
@@ -82,7 +95,8 @@ def repair_one_to_many(
         similarity: pairwise similarity matrix between *source_entities*
             (rows) and *target_entities* (columns), from the original model.
         source_entities / target_entities: orderings matching *similarity*.
-        confidence: explanation-confidence oracle ``conf(e1, e2, alignment)``.
+        confidence_batch: explanation-confidence batch oracle
+            ``conf(pairs, alignment) -> {pair: confidence}``.
         seed_alignment: the training alignment ``A_train`` (used, together
             with the working alignment, as the reference for explanations).
         k: number of candidate targets examined per unaligned source.
@@ -102,7 +116,7 @@ def repair_one_to_many(
         return top_k_cache[source]
 
     working, unaligned, num_conflicts = resolve_to_one_to_one(
-        predictions, confidence, AlignmentUnionView(predictions, seed_alignment)
+        predictions, confidence_batch, AlignmentUnionView(predictions, seed_alignment)
     )
     result = OneToManyRepairResult(
         alignment=working,
@@ -131,9 +145,9 @@ def repair_one_to_many(
                     aligned = True
                     break
                 current_holder = next(iter(holders))
-                challenger_conf = confidence(source, target, reference)
-                holder_conf = confidence(current_holder, target, reference)
-                if challenger_conf > holder_conf:
+                challenger, held = (source, target), (current_holder, target)
+                confidences = confidence_batch([challenger, held], reference)
+                if confidences[challenger] > confidences[held]:
                     working.remove(current_holder, target)
                     working.add(source, target)
                     result.num_reassigned += 1

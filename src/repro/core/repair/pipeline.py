@@ -356,7 +356,7 @@ class EARepairer:
                 similarity_matrix,
                 source_entities,
                 target_entities,
-                confidence=self.confidence,
+                confidence_batch=self.confidence_batch,
                 seed_alignment=self.dataset.train_alignment,
                 k=config.candidate_k,
                 max_iterations=config.max_iterations,
@@ -367,7 +367,7 @@ class EARepairer:
         if config.enable_low_confidence:
             repairer = LowConfidenceRepairer(
                 dataset=self.dataset,
-                confidence=self.confidence,
+                confidence_batch=self.confidence_batch,
                 similarity=self.similarity,
                 seed_alignment=self.dataset.train_alignment,
                 beta=beta,

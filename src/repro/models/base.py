@@ -206,24 +206,28 @@ class EAModel:
     def _derived_relations(self) -> np.ndarray:
         """Translation-derived relation embeddings (Eq. 1), cached after first use.
 
-        Vectorised: the per-relation sums of ``e_head - e_tail`` are
-        accumulated with one ``np.add.at`` scatter per KG instead of a
-        Python loop over triples.
+        Vectorised: the per-relation sums of ``e_head - e_tail`` come from
+        one ``np.bincount`` over a flat ``relation * dim + column`` index,
+        taking kg1's triples and then kg2's, each KG in sorted order.
+        ``bincount`` adds its weights in input order, so every sum is
+        accumulated in the same order as a Python loop over the triples.
         """
         assert self.index is not None and self.entity_matrix is not None and self.dataset is not None
         if self._derived_relation_matrix is None:
             num_relations = self.index.num_relations()
-            matrix = np.zeros((num_relations, self.entity_matrix.shape[1]))
-            counts = np.zeros(num_relations)
-            for kg in (self.dataset.kg1, self.dataset.kg2):
-                ids = self.index.triples_to_ids(sorted(kg.triples, key=lambda t: t.as_tuple()))
-                if not len(ids):
-                    continue
-                differences = self.entity_matrix[ids[:, 0]] - self.entity_matrix[ids[:, 2]]
-                np.add.at(matrix, ids[:, 1], differences)
-                counts += np.bincount(ids[:, 1], minlength=num_relations)
+            dim = self.entity_matrix.shape[1]
+            ids = np.concatenate(
+                [
+                    self.index.triples_to_ids(sorted(kg.triples, key=lambda t: t.as_tuple()))
+                    for kg in (self.dataset.kg1, self.dataset.kg2)
+                ]
+            )
+            differences = self.entity_matrix[ids[:, 0]] - self.entity_matrix[ids[:, 2]]
+            flat = (ids[:, 1, None] * dim + np.arange(dim)).ravel()
+            sums = np.bincount(flat, weights=differences.ravel(), minlength=num_relations * dim)
+            counts = np.bincount(ids[:, 1], minlength=num_relations).astype(float)
             counts[counts == 0] = 1.0
-            self._derived_relation_matrix = matrix / counts[:, None]
+            self._derived_relation_matrix = sums.reshape(num_relations, dim) / counts[:, None]
         return self._derived_relation_matrix
 
     def relation_embedding_matrix(self) -> np.ndarray:

@@ -11,7 +11,7 @@ silently corrupt results.
 import numpy as np
 import pytest
 
-from repro.core import ExplanationConfig, ExplanationGenerator
+from repro.core import ExplanationConfig, ExplanationGenerator, PathEmbeddingStore
 from repro.core.repair import EARepairer
 from repro.kg import AlignmentSet, AlignmentUnionView, KnowledgeGraph, Triple
 from repro.models import build_adjacency
@@ -304,6 +304,32 @@ class TestVectorisedReferences:
             )
             relation_id = model.index.relation_to_id[relation]
             assert np.allclose(derived[relation_id], manual)
+
+    def test_blocked_append_matches_row_at_a_time(self, fitted_mtranse):
+        from repro.core.engine import _APPEND_BLOCK_ROWS
+
+        model = fitted_mtranse
+        rng = np.random.default_rng(5)
+        num_entities, num_relations = model.index.num_entities(), model.index.num_relations()
+        # Paths of 1-3 hops, enough to cross two block boundaries off a non-zero base.
+        id_pairs = []
+        for length in rng.integers(1, 4, 2 * _APPEND_BLOCK_ROWS + 37):
+            entity_ids = tuple(int(i) for i in rng.integers(0, num_entities, length))
+            relation_ids = tuple(int(i) for i in rng.integers(0, num_relations, length))
+            id_pairs.append((entity_ids, relation_ids))
+        prefix, rest = id_pairs[:5], id_pairs[5:]
+
+        blocked = PathEmbeddingStore(model)
+        blocked.append(prefix)
+        assert blocked.append(rest) == len(prefix)
+        one_by_one = PathEmbeddingStore(model)
+        one_by_one.append(prefix)
+        bases = [one_by_one.append([item]) for item in rest]
+        assert bases == list(range(len(prefix), len(id_pairs)))
+
+        rows = np.arange(len(id_pairs))
+        assert blocked.size == one_by_one.size == len(id_pairs)
+        assert np.array_equal(blocked.unit_rows(rows), one_by_one.unit_rows(rows))
 
 
 # ----------------------------------------------------------------------

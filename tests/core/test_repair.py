@@ -20,6 +20,13 @@ from repro.core.repair import (
 from repro.kg import AlignmentSet, KnowledgeGraph, Triple
 
 
+def batch_oracle(confidence):
+    """The repair stages' batch oracle over a scalar ``confidence(source, target, alignment)``."""
+    def confidence_batch(pairs, alignment):
+        return {(source, target): confidence(source, target, alignment) for source, target in pairs}
+    return confidence_batch
+
+
 # ----------------------------------------------------------------------
 # Relation alignment and name similarity
 # ----------------------------------------------------------------------
@@ -142,7 +149,7 @@ class TestOneToManyRepair:
     def _confidence_from_table(table):
         def confidence(source, target, alignment):
             return table.get((source, target), 0.0)
-        return confidence
+        return batch_oracle(confidence)
 
     def test_resolve_keeps_highest_confidence(self):
         predictions = AlignmentSet([("s1", "t1"), ("s2", "t1"), ("s3", "t3")])
@@ -173,7 +180,7 @@ class TestOneToManyRepair:
             similarity,
             sources,
             targets,
-            confidence=self._confidence_from_table(table),
+            confidence_batch=self._confidence_from_table(table),
             seed_alignment=AlignmentSet(),
             k=3,
         )
@@ -197,7 +204,7 @@ class TestOneToManyRepair:
             similarity,
             sources,
             targets,
-            confidence=self._confidence_from_table(table),
+            confidence_batch=self._confidence_from_table(table),
             seed_alignment=AlignmentSet(),
             k=2,
         )
@@ -217,7 +224,7 @@ class TestOneToManyRepair:
             similarity,
             sources,
             targets,
-            confidence=lambda s, t, a: table.get((s, t), 0.5),
+            confidence_batch=batch_oracle(lambda s, t, a: table.get((s, t), 0.5)),
             seed_alignment=AlignmentSet(),
             k=4,
         )
@@ -249,7 +256,7 @@ class TestLowConfidenceRepair:
 
         repairer = LowConfidenceRepairer(
             dataset=core_dataset,
-            confidence=confidence,
+            confidence_batch=batch_oracle(confidence),
             similarity=similarity,
             seed_alignment=core_dataset.train_alignment,
             beta=0.5,
@@ -264,7 +271,7 @@ class TestLowConfidenceRepair:
     def test_candidates_come_from_matched_neighbourhoods(self, core_dataset):
         repairer = LowConfidenceRepairer(
             dataset=core_dataset,
-            confidence=lambda s, t, a: 0.5,
+            confidence_batch=batch_oracle(lambda s, t, a: 0.5),
             similarity=lambda s, t: 0.0,
             seed_alignment=core_dataset.train_alignment,
         )
@@ -282,7 +289,7 @@ class TestLowConfidenceRepair:
         working = AlignmentSet((s, gold[s]) for s in sources[2:])
         repairer = LowConfidenceRepairer(
             dataset=core_dataset,
-            confidence=lambda s, t, a: 1.0,  # nothing flagged as low confidence
+            confidence_batch=batch_oracle(lambda s, t, a: 1.0),  # nothing flagged as low confidence
             similarity=lambda s, t: 1.0 if gold.get(s) == t else 0.0,
             seed_alignment=core_dataset.train_alignment,
         )

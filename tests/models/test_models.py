@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import SyntheticConfig, generate_dataset
+from repro.kg import AlignmentSet, EADataset, KnowledgeGraph, Triple
 from repro.models import (
     MODEL_REGISTRY,
     AlignE,
@@ -262,3 +263,56 @@ class TestGCNInternals:
             _, loss_minus = logsumexp_mining_gradient(perturbed, sources, targets, margin=1.0, scale=3.0)
             numeric = (loss_plus - loss_minus) / (2 * epsilon)
             assert gradient[idx] == pytest.approx(numeric, rel=1e-3, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Translation-derived relation embeddings (Eq. 1)
+# ----------------------------------------------------------------------
+def derived_relations_add_at(model):
+    """The former ``_derived_relations``: one ``np.add.at`` scatter per KG."""
+    num_relations = model.index.num_relations()
+    matrix = np.zeros((num_relations, model.entity_matrix.shape[1]))
+    counts = np.zeros(num_relations)
+    for kg in (model.dataset.kg1, model.dataset.kg2):
+        ids = model.index.triples_to_ids(sorted(kg.triples, key=lambda t: t.as_tuple()))
+        if not len(ids):
+            continue
+        differences = model.entity_matrix[ids[:, 0]] - model.entity_matrix[ids[:, 2]]
+        np.add.at(matrix, ids[:, 1], differences)
+        counts += np.bincount(ids[:, 1], minlength=num_relations)
+    counts[counts == 0] = 1.0
+    return matrix / counts[:, None]
+
+
+def relation_dataset(kg2_triples: bool):
+    """Two random KGs of 40 entities: r0-r3 occur in both, r4 only in kg1, r5 only in kg2.
+
+    Without *kg2_triples* kg2 holds entities but no triples.
+    """
+    rng = np.random.default_rng(11)
+    names1 = [f"a{i}" for i in range(40)]
+    names2 = [f"b{i}" for i in range(40)]
+
+    def triples(names, relations):
+        heads, tails = rng.integers(0, len(names), 120), rng.integers(0, len(names), 120)
+        return [
+            Triple(names[h], relations[r], names[t])
+            for h, r, t in zip(heads, rng.integers(0, len(relations), 120), tails)
+        ]
+
+    kg1 = KnowledgeGraph(triples(names1, ["r0", "r1", "r2", "r3", "r4"]), entities=names1)
+    kg2 = KnowledgeGraph(
+        triples(names2, ["r0", "r1", "r2", "r3", "r5"]) if kg2_triples else [], entities=names2
+    )
+    seeds = AlignmentSet((names1[i], names2[i]) for i in range(0, 40, 3))
+    tests = AlignmentSet((names1[i], names2[i]) for i in range(1, 40, 3))
+    return EADataset(kg1, kg2, seeds, tests)
+
+
+class TestDerivedRelations:
+    @pytest.mark.parametrize("kg2_triples", [True, False], ids=["shared_relations", "empty_kg2"])
+    def test_bincount_matches_add_at_bit_for_bit(self, kg2_triples):
+        model = GCNAlign(TrainingConfig(dim=8, epochs=2, seed=0)).fit(relation_dataset(kg2_triples))
+        derived = model._derived_relations()
+        assert derived.shape == (model.index.num_relations(), model.entity_matrix.shape[1])
+        assert np.array_equal(derived, derived_relations_add_at(model))
