@@ -16,9 +16,9 @@ Two measurements, both on the ZH-EN second-order workload:
   the dispatcher must win on both cold and warm replays.
 * ``test_service_remote_vs_inprocess`` — the PR-4/PR-6 transport row: the
   same replay served by the in-process sharded service vs a
-  process-per-shard cluster (real ``python -m repro.service serve``
-  subprocesses fed a pickled snapshot of the same model) at the same
-  shard count, measured under BOTH wires: the v1 JSON/pooled transport
+  process-per-shard cluster (one-replica ``ReplicatedLocalCluster``: real
+  ``python -m repro.service serve`` subprocesses fed a pickled snapshot
+  of the same model) at the same shard count, measured under BOTH wires: the v1 JSON/pooled transport
   and the v2 binary/multiplexed one.  Results must be bit-identical
   across transports and codecs; the PR-6 acceptance bar is the warm
   binary+mux replay sustaining >= 5x the v1 JSON throughput.
@@ -53,13 +53,11 @@ from repro.service import (
     EXPLAIN,
     ExEAClient,
     ExplanationService,
-    LocalShardCluster,
+    ReplicatedLocalCluster,
     ServiceConfig,
     ShardedExEAClient,
     ShardedExplanationService,
-    replay_cluster_concurrently,
     replay_concurrently,
-    replay_remote_concurrently,
 )
 
 ARTIFACT = Path(__file__).parent / "BENCH_service.json"
@@ -108,13 +106,13 @@ def test_service_throughput(benchmark, dataset_cache, model_cache, bench_scale, 
         config = ServiceConfig(max_batch_size=32, max_wait_ms=2.0, num_workers=2)
         service = ExplanationService(model, dataset, config, exea_config=exea_config)
         with service:
-            cold_seconds = replay_concurrently(service, workload, NUM_CLIENTS)
+            client = ExEAClient(service)
+            cold_seconds = replay_concurrently(client, workload, NUM_CLIENTS)
             cold_stats = service.stats.snapshot()
-            warm_seconds = replay_concurrently(service, workload, NUM_CLIENTS)
+            warm_seconds = replay_concurrently(client, workload, NUM_CLIENTS)
             warm_stats = service.stats.snapshot()
 
             # Sanity: service results are bit-identical to direct calls.
-            client = ExEAClient(service)
             matching = sum(
                 1
                 for pair in unique_pairs
@@ -189,9 +187,9 @@ def test_service_mixed_dispatcher_vs_per_worker(
         )
         service = ExplanationService(model, dataset, config, exea_config=exea_config)
         with service:
-            cold = replay_concurrently(service, workload, NUM_CLIENTS)
-            warm = replay_concurrently(service, workload, NUM_CLIENTS)
             client = ExEAClient(service)
+            cold = replay_concurrently(client, workload, NUM_CLIENTS)
+            warm = replay_concurrently(client, workload, NUM_CLIENTS)
             explains = {pair: client.explain(*pair) for pair in unique_pairs}
             confidences = {pair: client.confidence(*pair) for pair in unique_pairs}
         return cold, warm, explains, confidences
@@ -290,13 +288,13 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
         # In-process sharded baseline: same shard count, same router.
         local = ShardedExplanationService(model, dataset, config, exea_config=exea_config)
         with local:
-            local_cold = replay_concurrently(local, workload, NUM_CLIENTS)
-            local_warm = replay_concurrently(local, workload, NUM_CLIENTS)
             client = ShardedExEAClient(local)
+            local_cold = replay_concurrently(client, workload, NUM_CLIENTS)
+            local_warm = replay_concurrently(client, workload, NUM_CLIENTS)
             local_explains = {pair: client.explain(*pair) for pair in unique_pairs}
             local_confidences = {pair: client.confidence(*pair) for pair in unique_pairs}
 
-        # Remote: one real server subprocess per shard, same model bytes
+        # Remote: one real server subprocess per shard (one replica each), same model bytes
         # (pickled snapshot), same CRC-32 routing, traffic over TCP —
         # once per wire: the v1 JSON/pooled transport, then the v2
         # binary/multiplexed transport against the same server build.
@@ -305,12 +303,12 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
             ("json", {"wire": "json", "mux": False}),
             ("binary", {"wire": "binary", "mux": True}),
         ):
-            with LocalShardCluster(
-                model, dataset, num_shards=num_shards, service_config=config,
+            with ReplicatedLocalCluster(
+                model, dataset, num_shards=num_shards, num_replicas=1, service_config=config,
                 exea_config=exea_config, **transport,
             ) as cluster:
-                cold = replay_remote_concurrently(cluster.client, workload, NUM_CLIENTS)
-                warm = replay_remote_concurrently(cluster.client, workload, NUM_CLIENTS)
+                cold = replay_concurrently(cluster.client, workload, NUM_CLIENTS)
+                warm = replay_concurrently(cluster.client, workload, NUM_CLIENTS)
                 explains = cluster.client.explain_many(unique_pairs)
                 confidences = {
                     pair: cluster.client.confidence(*pair) for pair in unique_pairs
@@ -402,7 +400,6 @@ def test_service_cluster_failover(benchmark, dataset_cache, model_cache, bench_s
     import threading
 
     from repro.datasets import shard_workload
-    from repro.service import ReplicatedLocalCluster, ShardedExEAClient
 
     dataset = dataset_cache("ZH-EN")
     model = model_cache("Dual-AMN", "ZH-EN")
@@ -440,8 +437,8 @@ def test_service_cluster_failover(benchmark, dataset_cache, model_cache, bench_s
             cluster_client = cluster.client
             # Replicated-read throughput, cold and warm (each replica keeps
             # its own cache, so "warm" warms whichever replicas serve).
-            cold_seconds = replay_cluster_concurrently(cluster_client, workload, NUM_CLIENTS)
-            warm_seconds = replay_cluster_concurrently(cluster_client, workload, NUM_CLIENTS)
+            cold_seconds = replay_concurrently(cluster_client, workload, NUM_CLIENTS)
+            warm_seconds = replay_concurrently(cluster_client, workload, NUM_CLIENTS)
 
             # Kill one replica mid-replay; the replay must finish with every
             # result (failover) and the detector must evict the dead replica.

@@ -53,7 +53,7 @@ def main() -> None:
         # 4. Concurrent replay: 6 clients, Zipf-skewed traffic over the
         #    predicted pairs.  Hot pairs are served from the cache.
         workload = replay_workload(sorted(model.predict().pairs), 300, seed=1, skew=1.2)
-        elapsed = replay_concurrently(service, workload, num_clients=6)
+        elapsed = replay_concurrently(client, workload, num_clients=6)
         print(f"\nReplayed {len(workload)} requests in {elapsed * 1000:.0f}ms "
               f"({len(workload) / elapsed:.0f} req/s)")
 
@@ -78,7 +78,7 @@ def main() -> None:
     with ShardedExplanationService(model, dataset, sharded_config) as sharded:
         client = ShardedExEAClient(sharded)
         assert client.explain(*pair) == explanation
-        elapsed = replay_concurrently(sharded, workload, num_clients=6)
+        elapsed = replay_concurrently(client, workload, num_clients=6)
         snapshot = client.stats_snapshot()
         print(f"\nSharded replay ({snapshot['num_shards']} shards): "
               f"{len(workload)} requests in {elapsed * 1000:.0f}ms")

@@ -33,13 +33,11 @@ from ..metrics import (
 )
 from ..models import EAModel, make_model
 from ..service import (
-    LocalShardCluster,
+    ExEAClient,
     ReplicatedLocalCluster,
     ServiceConfig,
     ShardedExplanationService,
-    replay_cluster_concurrently,
     replay_concurrently,
-    replay_remote_concurrently,
 )
 from .config import ExperimentScale
 
@@ -309,20 +307,17 @@ def run_service_experiment(
     reported figures merge every shard's stats.
 
     *transport* selects the deployment axis: ``"local"`` drives the
-    in-process :class:`ShardedExplanationService`; ``"remote"`` spawns
-    one real server subprocess per shard
-    (:class:`~repro.service.LocalShardCluster`, fed a pickled snapshot of
-    this exact model) and replays over the wire; ``"cluster"`` spawns
-    *num_replicas* server subprocesses per shard behind the health-checked
-    control plane (:class:`~repro.service.ReplicatedLocalCluster`) and
-    replays with load-aware replica routing — same workload, same
-    CRC-32 partition, bit-identical results, so the rows isolate the
-    transport and replication costs.
+    in-process :class:`ShardedExplanationService`; ``"cluster"`` spawns
+    *num_replicas* real server subprocesses per shard, fed a pickled
+    snapshot of this exact model, behind the health-checked control
+    plane (:class:`~repro.service.ReplicatedLocalCluster`) and replays
+    over the wire with load-aware replica routing (``num_replicas=1`` is
+    the plain process-per-shard deployment) — same workload, same CRC-32
+    partition, bit-identical results, so the rows isolate the transport
+    and replication costs.
     """
-    if transport not in ("local", "remote", "cluster"):
-        raise ValueError(
-            f'transport must be "local", "remote" or "cluster", got {transport!r}'
-        )
+    if transport not in ("local", "cluster"):
+        raise ValueError(f'transport must be "local" or "cluster", got {transport!r}')
     pairs = sample_correct_pairs(model, dataset, scale.explanation_sample, seed=scale.seed)
     if num_requests is None:
         num_requests = 10 * len(pairs)
@@ -340,17 +335,11 @@ def run_service_experiment(
             num_replicas=num_replicas,
             service_config=config,
         ) as cluster:
-            seconds = replay_cluster_concurrently(cluster.client, workload, num_clients)
-            stats = cluster.client.stats_snapshot()["overall"]
-    elif transport == "remote":
-        with LocalShardCluster(
-            model, dataset, num_shards=config.num_shards, service_config=config
-        ) as cluster:
-            seconds = replay_remote_concurrently(cluster.client, workload, num_clients)
+            seconds = replay_concurrently(cluster.client, workload, num_clients)
             stats = cluster.client.stats_snapshot()["overall"]
     else:
         with ShardedExplanationService(model, dataset, config) as service:
-            seconds = replay_concurrently(service, workload, num_clients)
+            seconds = replay_concurrently(ExEAClient(service), workload, num_clients)
         stats = service.stats_snapshot()["overall"]
     return ServiceRow(
         dataset=dataset.name,

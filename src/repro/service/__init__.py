@@ -30,22 +30,23 @@ ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
   :func:`stitch_trace`, log-bucketed per-stage histograms, the
   slow-request log, and the :func:`prometheus_text` exporter.
 * :mod:`~repro.service.transport` — the process boundary:
-  :class:`ShardServer` hosts one shard group per server process and
-  :class:`RemoteShardedClient` speaks the same client facade to a
-  cluster of them over length-prefixed JSON frames
-  (:class:`LocalShardCluster` spawns such a cluster locally).
+  :class:`ShardServer` hosts one shard group per server process behind
+  length-prefixed JSON or binary frames, and :class:`RemoteShardClient`
+  is the channel to one such server.
 * :mod:`~repro.service.cluster` — the control plane over that transport:
   a declarative :class:`ClusterTopology` (shard → replica endpoints +
   weights), :class:`ClusterManager` health checking with a
   consecutive-miss failure detector publishing a versioned routing
-  table, and :class:`ClusterClient` routing reads to healthy replicas by
-  load score with idempotent failover retry
-  (:class:`ReplicatedLocalCluster` spawns R replicas per shard locally).
+  table, and :class:`ClusterClient`, the one remote client facade,
+  routing reads to healthy replicas by load score with idempotent
+  failover retry (:class:`ReplicatedLocalCluster` spawns R replicas per
+  shard locally; one replica per shard is the plain process-per-shard
+  fleet, addressed with :func:`topology_for_endpoints`).
 
 ``python -m repro.service`` serves a scripted traffic replay against a
 registry dataset end to end (``--shards N`` fans the pipeline out);
-``python -m repro.service serve`` / ``connect`` / ``cluster`` run the
-remote transport and the replicated control plane (see
+``python -m repro.service serve`` / ``cluster`` run the remote
+transport and the replicated control plane (see
 ``docs/OPERATIONS.md``).
 """
 
@@ -64,7 +65,7 @@ from .cluster import (
     WeightController,
     load_topology,
     parse_topology,
-    replay_cluster_concurrently,
+    topology_for_endpoints,
 )
 from .config import ServiceConfig
 from .dispatch import Dispatcher
@@ -101,13 +102,10 @@ from .transport import (
     WIRE_AUTO,
     WIRE_BINARY,
     WIRE_JSON,
-    LocalShardCluster,
     MuxConnection,
     RemoteShardClient,
-    RemoteShardedClient,
     ShardServer,
     default_wire,
-    replay_remote_concurrently,
 )
 from .worker import MicroBatchWorkerPool, WorkerPool
 
@@ -121,7 +119,6 @@ __all__ = [
     "EXPLAIN",
     "ExEAClient",
     "ExplanationService",
-    "LocalShardCluster",
     "MicroBatchWorkerPool",
     "MicroBatcher",
     "MutationSpec",
@@ -130,7 +127,6 @@ __all__ = [
     "RemoteOperationError",
     "ReplicaBehindError",
     "RemoteShardClient",
-    "RemoteShardedClient",
     "RemoteTransportError",
     "ReplicaSpec",
     "ReplicatedLocalCluster",
@@ -168,8 +164,7 @@ __all__ = [
     "new_trace",
     "parse_topology",
     "prometheus_text",
-    "replay_cluster_concurrently",
     "replay_concurrently",
-    "replay_remote_concurrently",
     "stitch_trace",
+    "topology_for_endpoints",
 ]

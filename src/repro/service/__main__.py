@@ -1,6 +1,6 @@
 """CLI of the service stack: in-process replay, shard serving, remote replay.
 
-Six subcommands (see ``docs/OPERATIONS.md`` for the full reference):
+Five subcommands (see ``docs/OPERATIONS.md`` for the full reference):
 
 * ``replay`` (the default when no subcommand is given, preserving the
   historic invocation) — load a registry dataset, fit a model, serve a
@@ -20,16 +20,14 @@ Six subcommands (see ``docs/OPERATIONS.md`` for the full reference):
   request or SIGTERM.  ``--snapshot PATH`` serves a pickled model/dataset
   snapshot instead of refitting (what tests and benchmarks use).
 
-* ``connect`` — replay scripted traffic against running shard servers::
+* ``cluster`` — replay scripted traffic against running shard servers,
+  with health-checked failover and load-aware routing.  ``--endpoints``
+  lists one server per shard, in shard order; ``--topology`` reads a
+  declarative topology file (JSON/TOML; shard → ordered replica
+  endpoints + weights) for a **replicated** cluster::
 
-      PYTHONPATH=src python -m repro.service connect \\
+      PYTHONPATH=src python -m repro.service cluster \\
           --endpoints 127.0.0.1:7401,127.0.0.1:7402 --requests 400 --clients 8
-
-* ``cluster`` — replay scripted traffic against a **replicated** cluster
-  described by a declarative topology file (JSON/TOML; shard → ordered
-  replica endpoints + weights), with health-checked failover and
-  load-aware routing::
-
       PYTHONPATH=src python -m repro.service cluster \\
           --topology cluster.json --requests 400 --clients 8
 
@@ -70,10 +68,11 @@ from ..models import TrainingConfig, make_model
 from .cluster import (
     ClusterClient,
     ClusterManager,
+    ClusterTopology,
     RebalanceConfig,
     WeightConfig,
     load_topology,
-    replay_cluster_concurrently,
+    topology_for_endpoints,
 )
 from .config import ServiceConfig
 from .observability import (
@@ -88,19 +87,17 @@ from .observability import (
     render_diagnosis,
     resolve_objectives,
 )
-from .service import CONFIDENCE, EXPLAIN, VERIFY, replay_concurrently
+from .service import CONFIDENCE, EXPLAIN, VERIFY, ExEAClient, replay_concurrently
 from .sharding import ShardedExplanationService
 from .transport import (
     DEFAULT_MAX_FRAME_BYTES,
     SUPPORTED_WIRES,
     WIRE_AUTO,
-    RemoteShardedClient,
     ShardServer,
     read_snapshot,
-    replay_remote_concurrently,
 )
 
-SUBCOMMANDS = ("replay", "serve", "connect", "cluster", "metrics", "doctor")
+SUBCOMMANDS = ("replay", "serve", "cluster", "metrics", "doctor")
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +155,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_traffic_arguments(parser: argparse.ArgumentParser) -> None:
-    """Replay-traffic knobs shared by ``replay`` and ``connect``."""
+    """Replay-traffic knobs shared by ``replay`` and ``cluster``."""
     parser.add_argument("--requests", type=int, default=400, help="replay length")
     parser.add_argument("--clients", type=int, default=8, help="concurrent replay clients")
     parser.add_argument("--skew", type=float, default=1.0, help="Zipf skew of the traffic")
@@ -183,8 +180,42 @@ def _add_traffic_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_addressing_arguments(parser: argparse.ArgumentParser) -> None:
+    """How ``cluster``/``metrics``/``doctor`` find the fleet (see :func:`_topology`)."""
+    parser.add_argument(
+        "--endpoints",
+        default=None,
+        help=(
+            "comma-separated shard endpoints ordered by shard id, one replica each "
+            "(host:port or unix:/path)"
+        ),
+    )
+    parser.add_argument(
+        "--topology",
+        default=None,
+        help="cluster topology file (.json or .toml; see docs/OPERATIONS.md) instead of --endpoints",
+    )
+
+
+def _topology(args: argparse.Namespace, prog: str) -> ClusterTopology | None:
+    """The addressed fleet's topology, or ``None`` (exit 2) on bad addressing.
+
+    Exactly one of ``--endpoints`` or ``--topology`` is required.
+    ``--endpoints A,B`` is the one-replica topology: endpoint ``i`` serves
+    shard ``i``.
+    """
+    if bool(args.endpoints) == bool(args.topology):
+        print(f"{prog}: exactly one of --endpoints or --topology is required", file=sys.stderr)
+        return None
+    if args.endpoints:
+        return topology_for_endpoints(
+            [[endpoint.strip()] for endpoint in args.endpoints.split(",") if endpoint.strip()]
+        )
+    return load_topology(args.topology)
+
+
 def _add_client_wire_arguments(parser: argparse.ArgumentParser) -> None:
-    """Client-side codec/transport preference shared by ``connect``/``cluster``."""
+    """Client-side codec/transport preference shared by ``cluster``/``metrics``/``doctor``."""
     parser.add_argument(
         "--wire",
         default=None,
@@ -355,10 +386,10 @@ def build_replay_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "other subcommands: `serve` hosts one shard group behind a TCP/Unix socket "
-            "(one process per shard); `connect` replays traffic against running shard "
-            "servers; `cluster` replays against a replicated topology with failover. "
-            "Run `python -m repro.service serve --help` / `connect --help` / "
-            "`cluster --help`, or see docs/OPERATIONS.md."
+            "(one process per shard); `cluster` replays traffic against running shard "
+            "servers, one per shard or a replicated topology with failover. "
+            "Run `python -m repro.service serve --help` / `cluster --help`, "
+            "or see docs/OPERATIONS.md."
         ),
     )
     _add_model_arguments(parser)
@@ -387,7 +418,7 @@ def replay_main(argv: list[str]) -> int:
         file=sys.stderr,
     )
     with ShardedExplanationService(model, dataset, config) as service:
-        elapsed = replay_concurrently(service, workload, args.clients)
+        elapsed = replay_concurrently(ExEAClient(service), workload, args.clients)
 
     stats = service.stats_snapshot()
     report = {
@@ -533,66 +564,6 @@ def serve_main(argv: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# connect — remote replay against running shard servers
-# ----------------------------------------------------------------------
-def build_connect_parser() -> argparse.ArgumentParser:
-    """Parser of the ``connect`` subcommand (remote traffic replay)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service connect",
-        description="Replay scripted traffic against running shard servers.",
-    )
-    parser.add_argument(
-        "--endpoints",
-        required=True,
-        help="comma-separated shard endpoints ordered by shard id (host:port or unix:/path)",
-    )
-    _add_traffic_arguments(parser)
-    _add_client_wire_arguments(parser)
-    parser.add_argument("--seed", type=int, default=1, help="traffic seed")
-    parser.add_argument("--timeout", type=float, default=60.0, help="per-request socket timeout (s)")
-    parser.add_argument(
-        "--shutdown",
-        action="store_true",
-        help="ask every shard server to exit after the replay",
-    )
-    return parser
-
-
-def connect_main(argv: list[str]) -> int:
-    """Replay deterministic traffic through a remote shard cluster."""
-    args = build_connect_parser().parse_args(argv)
-    endpoints = [endpoint.strip() for endpoint in args.endpoints.split(",") if endpoint.strip()]
-    client_kwargs = _client_transport_kwargs(args)
-    with RemoteShardedClient(endpoints, timeout=args.timeout, **client_kwargs) as client:
-        pairs = client.pairs()
-        workload = _workload(args, pairs)
-        print(
-            f"[service] replaying {len(workload)} requests over {args.clients} clients "
-            f"against {len(endpoints)} shard server(s) ...",
-            file=sys.stderr,
-        )
-        elapsed = replay_remote_concurrently(client, workload, args.clients)
-        stats = client.stats_snapshot()
-        transport = client.shards[0].negotiated_transport()
-        if args.shutdown:
-            client.shutdown_servers()
-
-    report = {
-        "transport": "remote",
-        "wire": transport,
-        "endpoints": endpoints,
-        "num_requests": len(workload),
-        "num_clients": args.clients,
-        "seconds": elapsed,
-        "requests_per_second": len(workload) / elapsed if elapsed > 0 else 0.0,
-        "service": stats["overall"],
-        "num_shards": stats["num_shards"],
-    }
-    _emit_report(report, stats, args)
-    return 0
-
-
-# ----------------------------------------------------------------------
 # cluster — replicated replay through the control plane
 # ----------------------------------------------------------------------
 def build_cluster_parser() -> argparse.ArgumentParser:
@@ -600,15 +571,11 @@ def build_cluster_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service cluster",
         description=(
-            "Replay scripted traffic against a replicated shard cluster described by a "
-            "topology file, with health-checked failover and load-aware routing."
+            "Replay scripted traffic against running shard servers (one per shard, or a "
+            "replicated topology), with health-checked failover and load-aware routing."
         ),
     )
-    parser.add_argument(
-        "--topology",
-        required=True,
-        help="path to the cluster topology file (.json or .toml; see docs/OPERATIONS.md)",
-    )
+    _add_addressing_arguments(parser)
     _add_traffic_arguments(parser)
     _add_client_wire_arguments(parser)
     _add_slo_arguments(parser)
@@ -672,7 +639,9 @@ def build_cluster_parser() -> argparse.ArgumentParser:
 def cluster_main(argv: list[str]) -> int:
     """Replay deterministic traffic through a replicated, health-checked cluster."""
     args = build_cluster_parser().parse_args(argv)
-    topology = load_topology(args.topology)
+    topology = _topology(args, "cluster")
+    if topology is None:
+        return 2
     manager = ClusterManager(
         topology,
         probe_interval=args.probe_interval,
@@ -698,14 +667,16 @@ def cluster_main(argv: list[str]) -> int:
             "replica(s) ...",
             file=sys.stderr,
         )
-        elapsed = replay_cluster_concurrently(client, workload, args.clients)
+        elapsed = replay_concurrently(client, workload, args.clients)
         stats = client.stats_snapshot()
+        transport = client.negotiated_transport()
         if args.shutdown:
             client.shutdown_servers()
         manager.stop()
 
     report = {
         "transport": "cluster",
+        "wire": transport,
         "topology": topology.to_dict(),
         "num_requests": len(workload),
         "num_clients": args.clients,
@@ -734,16 +705,7 @@ def build_metrics_parser() -> argparse.ArgumentParser:
             "cluster) and print it in Prometheus text-exposition format."
         ),
     )
-    parser.add_argument(
-        "--endpoints",
-        default=None,
-        help="comma-separated shard endpoints ordered by shard id (host:port or unix:/path)",
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
-        help="cluster topology file (.json or .toml) to scrape instead of --endpoints",
-    )
+    _add_addressing_arguments(parser)
     _add_client_wire_arguments(parser)
     parser.add_argument("--timeout", type=float, default=10.0, help="per-request socket timeout (s)")
     parser.add_argument("--out", default=None, help="also write the exposition text here")
@@ -789,22 +751,12 @@ def _write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _build_scrape_client(args: argparse.Namespace, prog: str):
-    """Remote or cluster client for the scrape subcommands, or ``None`` (exit 2).
-
-    ``metrics`` and ``doctor`` share the same addressing: exactly one of
-    ``--endpoints`` (plain sharded fleet) or ``--topology`` (replicated
-    cluster) picks the client; wire/mux/sampling flags apply to both.
-    """
-    if bool(args.endpoints) == bool(args.topology):
-        print(f"{prog}: exactly one of --endpoints or --topology is required", file=sys.stderr)
+def _build_scrape_client(args: argparse.Namespace, prog: str) -> ClusterClient | None:
+    """The cluster client the scrape subcommands read, or ``None`` (exit 2)."""
+    topology = _topology(args, prog)
+    if topology is None:
         return None
-    client_kwargs = _client_transport_kwargs(args)
-    if args.endpoints:
-        endpoints = [e.strip() for e in args.endpoints.split(",") if e.strip()]
-        return RemoteShardedClient(endpoints, timeout=args.timeout, **client_kwargs)
-    topology = load_topology(args.topology)
-    return ClusterClient(topology, timeout=args.timeout, **client_kwargs)
+    return ClusterClient(topology, timeout=args.timeout, **_client_transport_kwargs(args))
 
 
 def metrics_main(argv: list[str]) -> int:
@@ -852,16 +804,7 @@ def build_doctor_parser() -> argparse.ArgumentParser:
             "what the control plane already did about it."
         ),
     )
-    parser.add_argument(
-        "--endpoints",
-        default=None,
-        help="comma-separated shard endpoints ordered by shard id (host:port or unix:/path)",
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
-        help="cluster topology file (.json or .toml) to examine instead of --endpoints",
-    )
+    _add_addressing_arguments(parser)
     _add_client_wire_arguments(parser)
     _add_slo_arguments(parser)
     parser.add_argument("--timeout", type=float, default=10.0, help="per-request socket timeout (s)")
@@ -908,7 +851,7 @@ def doctor_main(argv: list[str]) -> int:
 
 # ----------------------------------------------------------------------
 def main(argv: list[str] | None = None) -> int:
-    """Entry point: dispatch replay (default) / serve / connect / cluster / metrics / doctor.
+    """Entry point: dispatch replay (default) / serve / cluster / metrics / doctor.
 
     A bare word that is not a known subcommand fails fast with the list
     of valid ones — falling through to the replay parser would turn a
@@ -918,8 +861,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv and not argv[0].startswith("-"):
         if argv[0] == "serve":
             return serve_main(argv[1:])
-        if argv[0] == "connect":
-            return connect_main(argv[1:])
         if argv[0] == "cluster":
             return cluster_main(argv[1:])
         if argv[0] == "metrics":

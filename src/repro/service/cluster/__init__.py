@@ -16,7 +16,10 @@ the fleet-operation layer in front of that transport:
 * :mod:`~repro.service.cluster.client` — :class:`ClusterClient`, the
   exact `ExEAClient` facade routing reads to healthy replicas by load
   score, retrying idempotent requests on a replica failing mid-flight,
-  and fanning ``invalidate()`` out to every replica of every shard.
+  and fanning ``invalidate()`` out to every replica of every shard.  It
+  is the one remote client: a one-replica topology
+  (:func:`topology_for_endpoints`) addresses a plain process-per-shard
+  fleet.
 * :mod:`~repro.service.cluster.weights` — :class:`WeightController`,
   the adaptive-replica-weight loop: EMA-smoothed per-replica load skew
   from the stats probes, clamped into configured bounds with flap
@@ -28,19 +31,16 @@ the fleet-operation layer in front of that transport:
 * :mod:`~repro.service.cluster.local` — :class:`ReplicatedLocalCluster`,
   spawning R real server subprocesses per shard from one pickled
   snapshot (tests, benchmarks, the experiment runner's
-  ``transport="cluster"``).
+  ``transport="cluster"``; ``num_replicas=1`` is the plain
+  process-per-shard cluster).
 
-``python -m repro.service cluster --topology cluster.json`` replays
-traffic against a running cluster; see ``docs/OPERATIONS.md`` ("Running a
-cluster") for the topology schema and failover semantics.
+``python -m repro.service cluster --topology cluster.json`` (or
+``--endpoints A,B`` for one replica per shard) replays traffic against a
+running cluster; see ``docs/OPERATIONS.md`` ("Running a cluster") for the
+topology schema and failover semantics.
 """
 
-from .client import (
-    ClusterClient,
-    prefer_distinct_domains,
-    replay_cluster_concurrently,
-    replica_score,
-)
+from .client import ClusterClient, prefer_distinct_domains, replica_score
 from .local import ReplicatedLocalCluster
 from .manager import ClusterManager, ReplicaRoute, RoutingTable
 from .rebalance import (
@@ -77,7 +77,6 @@ __all__ = [
     "parse_topology",
     "plan_rebalance",
     "prefer_distinct_domains",
-    "replay_cluster_concurrently",
     "replica_score",
     "topology_for_endpoints",
 ]

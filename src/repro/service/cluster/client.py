@@ -42,42 +42,105 @@ decision (all replicas of a shard serve the same snapshot and the codec
 round-trips exactly), so results stay bit-identical to the in-process
 sharded service at the same shard count — through failovers, lease
 revocations and live slot migrations alike.
+
+A plain process-per-shard fleet is the one-replica case:
+``ClusterClient(topology_for_endpoints([[a], [b]]))`` addresses shard 0
+at *a* and shard 1 at *b*; a dead shard then fails its own pairs while
+the others keep serving.
+
+The retry policy rests on one question besides the transport's own
+stale-socket rule (:func:`~repro.service.transport.client.is_stale_symptom`):
+:func:`is_request_shaped` — would this failure reproduce on any peer
+(oversized frame, malformed payload)?  Such failures are never retried
+and never held against the replica: evicting a live replica over a bad
+request poisons the routing table.
 """
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from typing import Callable, Iterable
 
 from ..errors import RemoteTransportError, ReplicaBehindError, ServiceOverloadedError
 from ..observability.alerts import AlertPolicy, BurnRateAlerter
-from ..observability.context import TraceContext, new_span_id
+from ..observability.context import TraceContext, new_span_id, new_trace
 from ..observability.slo import SLOEngine, SLOObjective
-from ..observability.spans import Span
+from ..observability.spans import Span, SpanRecorder, stitch_trace
+from ..observability.tailsample import TailSampler
+from ..service import _fan_out
+from ..sharding import ShardRouter
 from ..stats import imbalance_summary, merge_raw
-from ..transport.client import RemoteShardClient
-from ..transport.facade import (
-    DEFAULT_TIMEOUT,
-    ShardedClientFacade,
-    is_request_shaped,
-    replay_facade_concurrently,
-    verify_peer_identity,
-    verify_served_identity,
-)
-from ..transport.framing import DEFAULT_MAX_FRAME_BYTES
+from ..transport.client import DEFAULT_TIMEOUT, RemoteShardClient
+from ..transport.framing import DEFAULT_MAX_FRAME_BYTES, ConnectionClosedError, ProtocolError
 from ..transport.protocol import (
+    OP_BATCH,
+    OP_CONFIDENCE,
+    OP_EXPLAIN,
     OP_INVALIDATE,
     OP_PAIRS,
     OP_SHUTDOWN,
     OP_STATS,
+    OP_VERIFY,
+    PROTOCOL_VERSION,
     decode_error,
+    decode_value,
 )
 from .manager import ClusterManager, ReplicaRoute
 from .topology import ClusterTopology
 
 #: EMA smoothing for the client-side per-replica latency estimate.
 _EMA_ALPHA = 0.2
+#: Items per ``batch`` frame in ``explain_many`` / ``replay`` exchanges.
+BATCH_CHUNK_SIZE = 256
+
+
+def is_request_shaped(error: BaseException) -> bool:
+    """True for failures the *request itself* causes on any peer.
+
+    Deterministic protocol violations — an oversized frame, a malformed
+    payload, a mis-sized batch reply — fail identically wherever they are
+    sent, so neither the stale-retry nor replica failover applies.
+    """
+    return isinstance(error, ProtocolError) and not isinstance(error, ConnectionClosedError)
+
+
+def verify_peer_identity(
+    info: dict, endpoint: str, expected_shard: int, num_shards: int
+) -> None:
+    """Check one ping payload against the topology slot it answers for.
+
+    Raises :class:`RemoteTransportError` when the peer speaks a different
+    protocol revision or identifies as a different shard — a miswired
+    cluster must refuse to connect, not silently serve wrong partitions.
+    """
+    if info.get("protocol") != PROTOCOL_VERSION:
+        raise RemoteTransportError(
+            f"{endpoint} speaks protocol {info.get('protocol')}, "
+            f"this client speaks {PROTOCOL_VERSION}"
+        )
+    if info.get("shard_id") != expected_shard or info.get("num_shards") != num_shards:
+        raise RemoteTransportError(
+            f"{endpoint} identifies as shard {info.get('shard_id')}/{info.get('num_shards')}, "
+            f"expected {expected_shard}/{num_shards} — cluster is miswired"
+        )
+
+
+def verify_served_identity(first: dict, first_endpoint: str, info: dict, endpoint: str) -> None:
+    """Check two ping payloads agree on *what* they serve.
+
+    Every peer must report the same dataset, model and generation token;
+    peers started against divergent snapshots would connect cleanly and
+    silently serve mixed results.
+    """
+    for key in ("dataset", "model", "token"):
+        if info.get(key) != first.get(key):
+            raise RemoteTransportError(
+                f"{endpoint} serves {key}={info.get(key)!r} but "
+                f"{first_endpoint} serves {first.get(key)!r} — cluster "
+                "replicas disagree on what they serve (miswired)"
+            )
 
 
 class _ReplicaLoad:
@@ -153,7 +216,7 @@ def prefer_distinct_domains(
     return distinct or candidates
 
 
-class ClusterClient(ShardedClientFacade):
+class ClusterClient:
     """The `ExEAClient` facade over a replicated, health-checked cluster.
 
     *manager* defaults to a new :class:`ClusterManager` over *topology*
@@ -163,6 +226,8 @@ class ClusterClient(ShardedClientFacade):
     and load accounting.  ``wire``/``mux`` pass through to every
     replica's :class:`RemoteShardClient` (negotiated per endpoint, so a
     mixed-version cluster upgrades only the replicas that can).
+    Construction pings every replica and refuses a miswired cluster
+    (:meth:`check_topology`).
     """
 
     def __init__(
@@ -180,12 +245,30 @@ class ClusterClient(ShardedClientFacade):
         slo_objectives: "Iterable[SLOObjective] | None" = None,
         alert_policy: AlertPolicy | None = None,
     ) -> None:
-        super().__init__(
-            topology.num_shards,
-            trace_sample_rate=trace_sample_rate,
-            sample_seed=sample_seed,
-            tail_sampler=tail_sampler,
-        )
+        if not 0.0 <= trace_sample_rate <= 1.0:
+            raise ValueError("trace_sample_rate must be within [0, 1]")
+        self.router = ShardRouter(topology.num_shards)
+        #: client-side span ring: ``client_send`` envelopes and the
+        #: ``retry`` spans of traced failovers
+        self.tracer = SpanRecorder(512)
+        #: head-based sampling rate for :meth:`traced` — the keep/drop
+        #: decision is made once here at the root and rides with the
+        #: context, so a trace is recorded everywhere or nowhere
+        self.trace_sample_rate = trace_sample_rate
+        self._sample_random = random.Random(sample_seed)
+        #: tail-based sampling: when set, it replaces the head-based
+        #: rate for :meth:`traced` — the sampler's fraction of requests
+        #: is traced as *pending* and kept only when slow / errored /
+        #: retried (or on the baseline rotation); kept traces are pinned
+        #: locally and on every serving process via the ``trace`` op's
+        #: ``pin`` flag.  Never affects request results.
+        self.tail_sampler: TailSampler | None = tail_sampler
+        #: trace ids that failed over at least once, noted by the retry
+        #: path — an O(1) lookup for the tail sampler's "retried" keep
+        #: reason (scanning the span ring per completion would cost
+        #: O(ring) on every fast request)
+        self._retried_traces: dict[str, bool] = {}
+        self._retried_lock = threading.Lock()
         self.topology = topology
         self._owns_manager = manager is None
         self.manager = manager or ClusterManager(topology)
@@ -236,6 +319,14 @@ class ClusterClient(ShardedClientFacade):
             self.close()
             raise
 
+    def _sample(self) -> bool:
+        """One head-based sampling decision (1.0 and 0.0 skip the RNG)."""
+        if self.trace_sample_rate >= 1.0:
+            return True
+        if self.trace_sample_rate <= 0.0:
+            return False
+        return self._sample_random.random() < self.trace_sample_rate
+
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
@@ -273,9 +364,7 @@ class ClusterClient(ShardedClientFacade):
                 if first is None:
                     first, first_endpoint = info, spec.endpoint
                 else:
-                    verify_served_identity(
-                        first, first_endpoint, info, spec.endpoint, scope="replicas"
-                    )
+                    verify_served_identity(first, first_endpoint, info, spec.endpoint)
                 descriptions.append(info)
             if not reachable:
                 details = "; ".join(
@@ -472,8 +561,137 @@ class ClusterClient(ShardedClientFacade):
         )
 
     # ------------------------------------------------------------------
+    # Single-pair operations (the ExEAClient surface)
+    # ------------------------------------------------------------------
+    def _single(self, op, source, target, timeout, deadline_ms, trace=None):
+        payload = {"op": op, "source": source, "target": target}
+        if deadline_ms is not None:
+            payload["deadline_ms"] = deadline_ms
+        if trace is not None:
+            payload["trace"] = trace
+        shard_id = self.shard_of(source, target)
+        return decode_value(op, self._call_shard(shard_id, payload, timeout))
+
+    def explain(
+        self, source: str, target: str, timeout: float | None = None, deadline_ms: float | None = None
+    ):
+        """Remote ``explain`` — equal to the in-process explanation object."""
+        return self._single(OP_EXPLAIN, source, target, timeout, deadline_ms)
+
+    def confidence(
+        self, source: str, target: str, timeout: float | None = None, deadline_ms: float | None = None
+    ) -> float:
+        """Remote repair-confidence — the exact in-process float."""
+        return self._single(OP_CONFIDENCE, source, target, timeout, deadline_ms)
+
+    def verify(
+        self, source: str, target: str, timeout: float | None = None, deadline_ms: float | None = None
+    ) -> bool:
+        """Remote EA verification (confidence thresholded server-side)."""
+        return self._single(OP_VERIFY, source, target, timeout, deadline_ms)
+
+    # ------------------------------------------------------------------
     # Tracing
     # ------------------------------------------------------------------
+    def traced(
+        self, kind: str, source: str, target: str, timeout: float | None = None
+    ) -> "tuple[object, TraceContext]":
+        """Run one traced remote operation; returns ``(result, trace_context)``.
+
+        Mints a root :class:`TraceContext` and sends it with the request
+        (each endpoint's client negotiates whether its peer understands
+        the field); the serving process records its stage spans under the
+        trace, and the enveloping ``client_send`` span — request out to
+        result in, wire time and failovers included — lands in this
+        client's own ring.  Feed the context's ``trace_id`` to
+        :meth:`trace_timeline`.
+
+        Head-based sampling (``trace_sample_rate``) decides keep/drop
+        here at the root: an unsampled request is sent *without* a trace
+        context (no wire bytes, no server spans, no client span) and
+        returns a context whose ``sampled`` flag is false, so callers can
+        tell an empty timeline from a dropped one.
+
+        With a :class:`TailSampler` attached the decision moves to
+        completion: the sampler's fraction of requests is traced as
+        pending, then kept (pinned fleet-wide) only when the request
+        turned out slow, errored, or failed over — plus the configured
+        baseline fraction of fast clean ones.
+        """
+        sampler = self.tail_sampler
+        sampled = sampler.begin() if sampler is not None else self._sample()
+        trace = new_trace(sampled=sampled)
+        started = time.perf_counter()
+        try:
+            value = self._single(
+                kind, source, target, timeout, None, trace=trace if trace.sampled else None
+            )
+        except BaseException:
+            if trace.sampled:
+                self.tracer.add(
+                    "client_send",
+                    trace,
+                    time.perf_counter() - started,
+                    attrs={"kind": kind, "source": source, "target": target, "error": True},
+                )
+                if sampler is not None:
+                    self._tail_complete(
+                        sampler, trace, (time.perf_counter() - started) * 1000.0, errored=True
+                    )
+            raise
+        elapsed = time.perf_counter() - started
+        if trace.sampled:
+            self.tracer.add(
+                "client_send",
+                trace,
+                elapsed,
+                attrs={"kind": kind, "source": source, "target": target},
+            )
+            if sampler is not None:
+                self._tail_complete(sampler, trace, elapsed * 1000.0, errored=False)
+        return value, trace
+
+    def _note_retried(self, trace_id: str) -> None:
+        """Record that *trace_id* failed over (a tail-sampling keep reason)."""
+        with self._retried_lock:
+            retried = self._retried_traces
+            retried[trace_id] = True
+            while len(retried) > 1024:
+                del retried[next(iter(retried))]
+
+    def _tail_complete(
+        self,
+        sampler: TailSampler,
+        trace: TraceContext,
+        latency_ms: float,
+        errored: bool,
+    ) -> None:
+        """Keep-or-drop one completed pending trace (tail sampling).
+
+        Dropped traces are NOT purged from the ring eagerly — the ring is
+        the pending buffer and eviction recycles them for free, whereas a
+        per-request O(ring) rebuild would dominate fast requests.
+        """
+        with self._retried_lock:
+            retried = self._retried_traces.pop(trace.trace_id, False)
+        decision = sampler.complete(
+            trace.trace_id, latency_ms, errored=errored, retried=retried
+        )
+        if decision.keep:
+            self.tracer.pin(trace.trace_id)
+            self.pin_trace(trace.trace_id)
+
+    def trace_timeline(self, trace_id: str) -> dict:
+        """Stitched fleet-wide timeline of one trace.
+
+        Combines this client's own spans (``client_send``, failover
+        ``retry``) with every serving process's spans for *trace_id* into
+        one ordered, per-stage-summed view — the "where did this
+        request's time go" answer.
+        """
+        spans = self.tracer.spans(trace_id) + self.trace_spans(trace_id)
+        return stitch_trace(spans, trace_id)
+
     def trace_spans(self, trace_id: str | None = None) -> list[Span]:
         """Spans pulled from **every replica of every shard**.
 
@@ -526,19 +744,79 @@ class ClusterClient(ShardedClientFacade):
                     return error
         return None
 
-    def _batch_reject(self):
-        """Batch exchanges fail over on per-item backpressure slots.
+    def _run_batch(
+        self, shard_id: int, items: list[tuple[str, str, str]], timeout: float | None
+    ) -> list:
+        """One shard's items in chunked ``batch`` frames; decode in order.
 
         A chunk that comes back with a backpressure slot is re-sent to
         the shard's next replica; the operations are idempotent, so
         re-running the chunk's other items on the peer only warms a
         second cache.  Any other per-item error is an *answer* and
-        re-raises, as the in-process facade does.
+        re-raises, as the in-process facade raises on
+        ``future.result()``.  A mis-sized reply is a protocol violation,
+        because ``zip()`` would silently truncate a short reply into
+        ``None`` results.
         """
-        return self._reject_overloaded_batch
+        values: list = []
+        for start in range(0, len(items), BATCH_CHUNK_SIZE):
+            chunk = items[start : start + BATCH_CHUNK_SIZE]
+            response = self._call_shard(
+                shard_id,
+                {"op": OP_BATCH, "items": [list(item) for item in chunk]},
+                timeout,
+                reject=self._reject_overloaded_batch,
+            )
+            slots = response.get("results")
+            if not isinstance(slots, list) or len(slots) != len(chunk):
+                raise ProtocolError(
+                    f"a shard-{shard_id} replica answered {len(chunk)} batch items with "
+                    f"{len(slots) if isinstance(slots, list) else 'no'} results"
+                )
+            for (kind, _, _), slot in zip(chunk, slots):
+                if "error" in slot:
+                    raise decode_error(slot["error"])
+                values.append(decode_value(kind, slot["ok"]))
+        return values
 
-    def _shard_label(self, shard_id: int) -> str:
-        return f"a shard-{shard_id} replica"
+    def explain_many(
+        self, pairs: list[tuple[str, str]], timeout: float | None = None
+    ) -> dict[tuple[str, str], object]:
+        """Explain every distinct pair; one concurrent batch exchange per shard."""
+        unique = list(dict.fromkeys(pairs))
+        items = [(OP_EXPLAIN, source, target) for source, target in unique]
+        return dict(zip(unique, self._scatter(items, timeout)))
+
+    def replay(
+        self, workload: list[tuple[str, str, str]], timeout: float | None = None
+    ) -> list[object]:
+        """Run a scripted ``(kind, source, target)`` replay; results in order.
+
+        The workload is partitioned by shard and shipped as ``batch``
+        frames (one in-flight exchange per shard, concurrently), then the
+        per-shard results are stitched back into submission order.
+        """
+        return self._scatter(list(workload), timeout)
+
+    def _scatter(self, items: list[tuple[str, str, str]], timeout: float | None) -> list:
+        """Partition items by shard, exchange concurrently, restore order."""
+        by_shard: dict[int, list[int]] = {}
+        for index, (_, source, target) in enumerate(items):
+            by_shard.setdefault(self.shard_of(source, target), []).append(index)
+        results: list = [None] * len(items)
+
+        def run_shard(shard_id: int, indices: list[int]) -> None:
+            values = self._run_batch(shard_id, [items[index] for index in indices], timeout)
+            for index, value in zip(indices, values):
+                results[index] = value
+
+        _fan_out(
+            [
+                lambda shard_id=shard_id, indices=indices: run_shard(shard_id, indices)
+                for shard_id, indices in by_shard.items()
+            ]
+        )
+        return results
 
     # ------------------------------------------------------------------
     # Cluster-wide operations
@@ -777,6 +1055,15 @@ class ClusterClient(ShardedClientFacade):
             )
         return {"objectives": evaluations, "alerts": alerts}
 
+    def negotiated_transport(self) -> dict:
+        """Codec and connection mode in use, as the first reachable endpoint negotiated it."""
+        for endpoint in self.topology.endpoints():
+            try:
+                return self._clients[endpoint].negotiated_transport()
+            except RemoteTransportError:
+                continue
+        raise RemoteTransportError("no endpoint of the cluster is reachable")
+
     def wire_snapshot(self) -> dict:
         """Client-side wire telemetry, overall and per replica endpoint."""
         per_endpoint = {
@@ -845,26 +1132,12 @@ class ClusterClient(ShardedClientFacade):
         self.close()
 
 
-def replay_cluster_concurrently(
-    client: ClusterClient,
-    workload: Iterable[tuple[str, str, str]],
-    num_clients: int,
-    timeout: float | None = 120.0,
-) -> float:
-    """Drive a scripted replay through *num_clients* concurrent threads.
-
-    The cluster name for
-    :func:`~repro.service.transport.client.replay_remote_concurrently`,
-    which only needs the client's ``replay`` method and works unchanged
-    over the failover facade; returns elapsed wall-clock seconds,
-    re-raising any thread failure.
-    """
-    return replay_facade_concurrently(client, workload, num_clients, timeout)
-
-
 __all__ = [
+    "BATCH_CHUNK_SIZE",
     "ClusterClient",
+    "is_request_shaped",
     "prefer_distinct_domains",
-    "replay_cluster_concurrently",
     "replica_score",
+    "verify_peer_identity",
+    "verify_served_identity",
 ]

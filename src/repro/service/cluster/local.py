@@ -1,16 +1,20 @@
 """Spawn a replicated local cluster: R real server processes per shard.
 
-:class:`ReplicatedLocalCluster` extends
-:class:`~repro.service.transport.cluster.LocalShardCluster` with a
-replica axis: every shard group is served by *num_replicas* independent
-``python -m repro.service serve`` subprocesses, all deserialising the
-same pickled snapshot (so every replica of every shard serves identical
-model bytes and the failover path is bit-identical by construction).
-The spawned endpoints become a
+:class:`ReplicatedLocalCluster` is the deployment in a box.  It pickles
+the fitted model + dataset (plus the service/ExEA configs) into a
+snapshot file, spawns *num_replicas* independent
+``python -m repro.service serve`` subprocesses per shard group against
+it, and waits for each server's ``READY`` line to learn its ephemeral
+port.  Every replica of every shard deserialises the same snapshot, so
+they serve identical model bytes and the failover path is bit-identical
+by construction.  The spawned endpoints become a
 :class:`~repro.service.cluster.topology.ClusterTopology`, a
 :class:`~repro.service.cluster.manager.ClusterManager` health-checks
 them, and :attr:`client` is a connected
-:class:`~repro.service.cluster.client.ClusterClient`.
+:class:`~repro.service.cluster.client.ClusterClient`.  ``num_replicas=1``
+is the plain process-per-shard cluster.  Benchmarks, the experiment
+runner's ``transport="cluster"`` axis and the subprocess tests all go
+through this class.
 
 The fleet-autonomy knobs pass straight through to the manager:
 *lease_ttl* arms the lease-based liveness check, *weights* /
@@ -31,16 +35,21 @@ topology file instead (see ``docs/OPERATIONS.md``, "Running a cluster").
 
 from __future__ import annotations
 
+import shutil
 import signal
 import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 from ..config import ServiceConfig
 from ..transport.cluster import (
     DEFAULT_STARTUP_TIMEOUT,
-    LocalShardCluster,
     ShardProcess,
     _read_ready_line,
     _subprocess_env,
+    write_snapshot,
 )
 from .client import ClusterClient
 from .manager import (
@@ -55,7 +64,7 @@ from .topology import ClusterTopology, topology_for_endpoints
 from .weights import WeightConfig
 
 
-class ReplicatedLocalCluster(LocalShardCluster):
+class ReplicatedLocalCluster:
     """A replicated process-per-shard cluster on this machine.
 
     Use as a context manager::
@@ -64,8 +73,10 @@ class ReplicatedLocalCluster(LocalShardCluster):
             explanation = cluster.client.explain(source, target)
             cluster.kill_replica(shard_id=0, replica_index=1)  # reads keep succeeding
 
-    ``replicas[k][r]`` is replica *r* of shard *k* (``processes`` stays
-    the flat shard-major list the base class tears down).
+    ``replicas[k][r]`` is replica *r* of shard *k*; ``processes`` is the
+    same handles as one flat shard-major list.  ``service_config``'s
+    ``num_shards`` is overridden by *num_shards*: each process hosts
+    exactly one shard group.
     """
 
     def __init__(
@@ -91,21 +102,23 @@ class ReplicatedLocalCluster(LocalShardCluster):
         rebalance: RebalanceConfig | None = None,
         replica_zones: list[str] | None = None,
     ) -> None:
-        super().__init__(
-            model,
-            dataset,
-            num_shards,
-            service_config=service_config,
-            exea_config=exea_config,
-            startup_timeout=startup_timeout,
-            client_timeout=client_timeout,
-            wire=wire,
-            mux=mux,
-            server_wire=server_wire,
-        )
+        if num_shards < 1:
+            raise ValueError("num_shards must be >= 1")
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
+        self.model = model
+        self.dataset = dataset
+        self.num_shards = num_shards
         self.num_replicas = num_replicas
+        self.service_config = service_config or ServiceConfig()
+        self.exea_config = exea_config
+        self.startup_timeout = startup_timeout
+        self.client_timeout = client_timeout
+        #: client codec/transport preference (None = negotiate / env default)
+        self.wire = wire
+        self.mux = mux
+        #: restrict the spawned servers' codecs (``--wire``; None = both)
+        self.server_wire = server_wire
         self.probe_interval = probe_interval
         self.miss_threshold = miss_threshold
         self.probe_timeout = probe_timeout
@@ -115,22 +128,73 @@ class ReplicatedLocalCluster(LocalShardCluster):
         self.weights = weights
         self.rebalance = rebalance
         self.replica_zones = list(replica_zones) if replica_zones is not None else None
+        self.processes: list[ShardProcess] = []
         self.replicas: list[list[ShardProcess]] = []
         self.topology: ClusterTopology | None = None
         self.manager: ClusterManager | None = None
         self.client: ClusterClient | None = None
+        self._workdir: Path | None = None
 
     # ------------------------------------------------------------------
+    def _write_snapshot(self) -> Path:
+        """Create the working directory and pickle the serving snapshot into it."""
+        self._workdir = Path(tempfile.mkdtemp(prefix="repro-shard-cluster-"))
+        return write_snapshot(
+            self._workdir / "snapshot.pkl",
+            self.model,
+            self.dataset,
+            # Each process hosts exactly one shard group, so the config it
+            # serves under says so — a num_shards left at the cluster size
+            # would misdescribe the in-process topology to anything that
+            # reads it inside the shard.
+            service_config=replace(self.service_config, num_shards=1),
+            exea_config=self.exea_config,
+        )
+
+    def _spawn_serve(self, snapshot: Path, shard_id: int, env: dict) -> subprocess.Popen:
+        """Spawn one ``python -m repro.service serve`` subprocess for *shard_id*."""
+        command = [
+            sys.executable,
+            "-m",
+            "repro.service",
+            "serve",
+            "--snapshot",
+            str(snapshot),
+            "--shard-id",
+            str(shard_id),
+            "--num-shards",
+            str(self.num_shards),
+            "--listen",
+            "127.0.0.1:0",
+        ]
+        if self.server_wire is not None:
+            command += ["--wire", self.server_wire]
+        return subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
+
+    @staticmethod
+    def _reap_untracked(spawned: list[subprocess.Popen], tracked_pids: set[int]) -> None:
+        """Kill and reap spawned processes that never reached bookkeeping."""
+        for process in spawned:
+            if process.pid in tracked_pids:
+                continue
+            if process.poll() is None:
+                process.kill()
+            process.wait(timeout=30)  # reap: no zombies from failed startups
+            if process.stdout is not None:
+                process.stdout.close()
+
     def start(self) -> "ReplicatedLocalCluster":
         """Write the snapshot, spawn every replica of every shard, connect."""
         if self.client is not None:
             return self
-        snapshot = self._write_snapshot()
-        env = _subprocess_env()
+        spawned: list[tuple[int, subprocess.Popen]] = []
         try:
+            # Inside the cleanup scope: a snapshot that fails to pickle
+            # must not leave its temp dir (and partial file) behind.
+            snapshot = self._write_snapshot()
+            env = _subprocess_env()
             # Spawn the full shard × replica grid first, then collect the
             # READY lines — startup costs ~one process's startup, not N*R.
-            spawned: list[tuple[int, subprocess.Popen]] = []
             for shard_id in range(self.num_shards):
                 for _ in range(self.num_replicas):
                     spawned.append((shard_id, self._spawn_serve(snapshot, shard_id, env)))
@@ -163,8 +227,8 @@ class ReplicatedLocalCluster(LocalShardCluster):
                 mux=self.mux,
             )
         except BaseException:
-            if self.manager is not None and self.client is None:
-                self.manager.stop()  # the client would have owned stopping it
+            # Tear down whatever came up, including spawned processes that
+            # never reached ShardProcess bookkeeping.
             self._reap_untracked(
                 [process for _, process in spawned],
                 {shard.process.pid for shard in self.processes},
@@ -198,25 +262,42 @@ class ReplicatedLocalCluster(LocalShardCluster):
         self.replicas[shard_id][replica_index].process.send_signal(signal.SIGCONT)
 
     def close(self) -> None:
-        """Shut down the client (which stops the manager), processes, snapshot."""
+        """Shut down the client, the manager, every process and the snapshot dir."""
         # A SIGSTOP'd replica would ignore SIGTERM until resumed and make
         # teardown wait out the kill escalation; resume everything first.
-        for group in self.replicas:
-            for replica in group:
-                if replica.process.poll() is None:
-                    try:
-                        replica.process.send_signal(signal.SIGCONT)
-                    except OSError:
-                        pass  # already reaped
+        for replica in self.processes:
+            if replica.process.poll() is None:
+                try:
+                    replica.process.send_signal(signal.SIGCONT)
+                except OSError:
+                    pass  # already reaped
+        if self.client is not None:
+            try:
+                self.client.shutdown_servers()
+            except Exception:
+                pass
+            self.client.close()
+            self.client = None
         # ClusterClient owns its manager only when it constructed one; here
         # the cluster built the manager, so the client's close() leaves it
         # running — stop it explicitly after the client goes away.
         manager, self.manager = self.manager, None
-        super().close()
         if manager is not None:
             manager.stop()
+        for replica in self.processes:
+            replica.terminate()
+        self.processes = []
         self.replicas = []
         self.topology = None
+        if self._workdir is not None:
+            shutil.rmtree(self._workdir, ignore_errors=True)
+            self._workdir = None
+
+    def __enter__(self) -> "ReplicatedLocalCluster":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 __all__ = ["ReplicatedLocalCluster"]

@@ -42,33 +42,11 @@ def _median(values: list[float]) -> float:
 
 
 def _replica_rows(stats: Mapping) -> list[dict]:
-    """Per-replica rows with endpoint/shard/latency/queue, from either shape.
-
-    The cluster snapshot carries ``routing.replicas`` (endpoint, health,
-    lease, probed p95/queue); the plain remote snapshot only has
-    ``per_shard`` derived rows, which become one pseudo-replica per
-    shard so the same checks still name the offender.
-    """
+    """Per-replica rows (endpoint, health, lease, probed p95/queue) of a cluster snapshot."""
     routing = stats.get("routing")
     if isinstance(routing, Mapping) and isinstance(routing.get("replicas"), list):
         return [row for row in routing["replicas"] if isinstance(row, Mapping)]
-    rows = []
-    per_shard = stats.get("per_shard")
-    if isinstance(per_shard, list):
-        for index, snapshot in enumerate(per_shard):
-            if isinstance(snapshot, Mapping):
-                rows.append(
-                    {
-                        "endpoint": f"shard[{index}]",
-                        "shard": index,
-                        "replica": 0,
-                        "healthy": True,
-                        "lease_ok": True,
-                        "queue_depth": 0,
-                        "p95_ms": snapshot.get("p95_ms", 0.0),
-                    }
-                )
-    return rows
+    return []
 
 
 def diagnose(
@@ -78,7 +56,8 @@ def diagnose(
 ) -> dict:
     """Rank one stats snapshot into ``{"health", "findings", "summary"}``.
 
-    *stats* is a ``stats_snapshot()`` shape (remote or cluster);
+    *stats* is a
+    :meth:`~repro.service.cluster.client.ClusterClient.stats_snapshot` shape;
     *evaluations* is :meth:`SLOEngine.evaluate` output and *firing* the
     alerter's active set — both default to whatever the snapshot's own
     ``"slo"`` section carries, so a scrape of an SLO-configured cluster

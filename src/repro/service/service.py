@@ -902,9 +902,9 @@ class ExEAClient:
 def _fan_out(thunks) -> None:
     """Run every thunk on its own daemon thread; join all; re-raise the first failure.
 
-    The shared fan-out used by the concurrent replay drivers (local and
-    remote) and the remote client's per-shard scatter — one place to fix
-    error propagation for all of them.  A failed thunk must never be
+    The shared fan-out used by :func:`replay_concurrently` and the
+    cluster client's per-shard scatter — one place to fix error
+    propagation for both.  A failed thunk must never be
     silently dropped: a replay that lost requests would otherwise be
     mistaken for a fast one.
     """
@@ -926,26 +926,24 @@ def _fan_out(thunks) -> None:
 
 
 def replay_concurrently(
-    service: ExplanationService,
+    client,
     workload: list[tuple[str, str, str]],
     num_clients: int,
     timeout: float | None = 120.0,
 ) -> float:
-    """Drive a scripted replay through *num_clients* concurrent clients.
+    """Drive a scripted replay through *num_clients* concurrent threads.
 
-    Shards the workload round-robin, runs one :class:`ExEAClient` per
-    shard on its own thread, and returns the elapsed wall-clock seconds.
-    Client failures are re-raised — a replay that dropped requests must
-    never be mistaken for a fast one (its timing would be meaningless).
+    Shards the workload round-robin and replays each slice on its own
+    thread through the shared *client* — anything with the `ExEAClient`
+    ``replay`` surface: ``ExEAClient(service)`` in process, or a remote
+    :class:`~repro.service.cluster.client.ClusterClient`.  Returns the
+    elapsed wall-clock seconds.  Thread failures are re-raised — a replay
+    that dropped requests must never be mistaken for a fast one (its
+    timing would be meaningless).
     """
-    shards = [shard for shard in shard_workload(workload, num_clients) if shard]
+    slices = [part for part in shard_workload(list(workload), num_clients) if part]
     start = time.perf_counter()
-    _fan_out(
-        [
-            lambda shard=shard: ExEAClient(service).replay(shard, timeout=timeout)
-            for shard in shards
-        ]
-    )
+    _fan_out([lambda part=part: client.replay(part, timeout=timeout) for part in slices])
     return time.perf_counter() - start
 
 

@@ -18,39 +18,25 @@ speaks to them over a thin wire protocol.  The pieces, bottom-up:
 * :mod:`~repro.service.transport.mux` — :class:`MuxConnection`, one
   selectors-driven multiplexed connection per endpoint: request-id
   correlation, out-of-order completion, per-request deadlines.
-* :mod:`~repro.service.transport.facade` — :class:`ShardedClientFacade`,
-  the shared routing/batching/retry base of
-  :class:`RemoteShardedClient` and the cluster client.
 * :mod:`~repro.service.transport.server` — :class:`ShardServer`, hosting
   one shard group's :class:`~repro.service.service.ExplanationService`
   behind a socket (``python -m repro.service serve``).
-* :mod:`~repro.service.transport.client` — :class:`RemoteShardClient`
-  (connection pool + reconnect) and :class:`RemoteShardedClient`, the
-  same ``explain`` / ``confidence`` / ``verify`` / ``explain_many`` /
-  ``replay`` facade as the in-process clients, plus ``invalidate``
-  generation fan-out and merged ``stats_snapshot``.
-* :mod:`~repro.service.transport.cluster` — :class:`LocalShardCluster`,
-  spawning real shard subprocesses from a pickled model/dataset snapshot
-  (tests, benchmarks, the experiment runner's ``transport="remote"``).
+* :mod:`~repro.service.transport.client` — :class:`RemoteShardClient`,
+  the request/response channel to one shard server (connection pool or
+  multiplexed connection, stale-socket reconnect, codec negotiation).
+  The `ExEAClient` facade over many of them is
+  :class:`~repro.service.cluster.client.ClusterClient`.
+* :mod:`~repro.service.transport.cluster` — the serving snapshot
+  (:func:`write_snapshot` / :func:`read_snapshot`) and the
+  :class:`ShardProcess` handle a local cluster spawns from it
+  (:class:`~repro.service.cluster.local.ReplicatedLocalCluster`).
 
 See ``docs/ARCHITECTURE.md`` for where this layer sits in the stack and
 ``docs/OPERATIONS.md`` for the serving CLI.
 """
 
-from .client import (
-    WIRE_AUTO,
-    RemoteShardClient,
-    RemoteShardedClient,
-    default_wire,
-    replay_remote_concurrently,
-)
-from .cluster import LocalShardCluster, ShardProcess, read_snapshot, write_snapshot
-from .facade import (
-    ShardedClientFacade,
-    is_request_shaped,
-    is_stale_symptom,
-    replay_facade_concurrently,
-)
+from .client import WIRE_AUTO, RemoteShardClient, default_wire, is_stale_symptom
+from .cluster import ShardProcess, read_snapshot, write_snapshot
 from .framing import (
     DEFAULT_MAX_FRAME_BYTES,
     ConnectionClosedError,
@@ -94,14 +80,11 @@ __all__ = [
     "ConnectionClosedError",
     "FrameTimeoutError",
     "FrameTooLargeError",
-    "LocalShardCluster",
     "MuxConnection",
     "ProtocolError",
     "RemoteShardClient",
-    "RemoteShardedClient",
     "ShardProcess",
     "ShardServer",
-    "ShardedClientFacade",
     "decode_any_body",
     "decode_binary",
     "decode_error",
@@ -114,14 +97,11 @@ __all__ = [
     "encode_frame",
     "encode_value",
     "frame_raw",
-    "is_request_shaped",
     "is_stale_symptom",
     "parse_listen_address",
     "read_snapshot",
     "recv_frame",
     "recv_frame_raw",
-    "replay_facade_concurrently",
-    "replay_remote_concurrently",
     "send_frame",
     "send_raw_frame",
     "write_snapshot",

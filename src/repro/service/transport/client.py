@@ -1,4 +1,4 @@
-"""Remote clients: the `ExEAClient` facade spoken over shard sockets.
+"""Remote shard client: the request/response channel to one shard server.
 
 :class:`RemoteShardClient` talks to *one* shard server.  Two transports
 live behind its ``call``:
@@ -20,14 +20,12 @@ and the multiplexed transport when both ends support them.  ``wire=`` /
 the process-wide default (``json`` / ``binary`` / ``auto``).  Old JSON
 servers keep working — the client simply stays on the v1 path.
 
-:class:`RemoteShardedClient` composes one shard client per shard process
-behind the shared :class:`~repro.service.transport.facade.ShardedClientFacade`
-surface (``explain`` / ``confidence`` / ``verify`` / ``explain_many`` /
-``replay`` + ``shard_of``/``stats_snapshot``/``invalidate``).  Routing
-uses the same CRC-32 :class:`~repro.service.sharding.ShardRouter` as the
-in-process sharded service; combined with the codecs' exact round-trips
-this makes remote results bit-identical to in-process sharded results at
-the same shard count — under either codec.
+Routing across shards is not this module's job:
+:class:`~repro.service.cluster.client.ClusterClient` holds one
+:class:`RemoteShardClient` per endpoint and speaks the `ExEAClient`
+facade over them; a one-replica topology
+(:func:`~repro.service.cluster.topology.topology_for_endpoints`) covers a
+plain process-per-shard fleet.
 
 Failure surface: service errors (backpressure, deadline, closed) arrive
 as their own exception types; anything wrong with the *transport* —
@@ -42,25 +40,15 @@ import os
 import socket
 import threading
 import time
-from typing import Iterable
 
 from ..errors import RemoteOperationError, RemoteTransportError
 from ..observability.context import TraceContext
 from ..observability.spans import Span, span_from_wire
-from ..stats import WireCounters, imbalance_summary, merge_raw
-from .facade import (
-    BATCH_CHUNK_SIZE,
-    DEFAULT_TIMEOUT,
-    ShardedClientFacade,
-    is_request_shaped,
-    is_stale_symptom,
-    replay_facade_concurrently,
-    verify_peer_identity,
-    verify_served_identity,
-)
+from ..stats import WireCounters
 from .framing import (
     DEFAULT_MAX_FRAME_BYTES,
     ConnectionClosedError,
+    FrameTimeoutError,
     ProtocolError,
     encode_frame,
     frame_raw,
@@ -69,18 +57,17 @@ from .framing import (
 )
 from .mux import MuxConnection
 from .protocol import (
-    OP_INVALIDATE,
     OP_MUTATE,
-    OP_PAIRS,
     OP_PING,
-    OP_SHUTDOWN,
-    OP_STATS,
     OP_TRACE,
     decode_error,
     encode_mutations,
 )
 from .server import parse_listen_address
 from .wire import SUPPORTED_WIRES, WIRE_BINARY, WIRE_JSON, decode_any_body, encode_binary
+
+#: Default per-request socket timeout (seconds).
+DEFAULT_TIMEOUT = 60.0
 
 #: Sentinel wire mode: pick the densest codec both ends support.
 WIRE_AUTO = "auto"
@@ -90,6 +77,21 @@ def default_wire() -> str:
     """The process-wide wire preference (``REPRO_WIRE`` env, else auto)."""
     value = os.environ.get("REPRO_WIRE", WIRE_AUTO).strip().lower()
     return value if value in (WIRE_AUTO, *SUPPORTED_WIRES) else WIRE_AUTO
+
+
+def is_stale_symptom(error: BaseException) -> bool:
+    """True for failures a *reused* connection may cause all by itself.
+
+    EOF, reset and raw socket errors are how an idle socket that the peer
+    (or a middlebox) quietly dropped presents on next use — retrying once
+    on a fresh connection is safe and routine; every wire operation is
+    idempotent.  A :class:`FrameTimeoutError` is excluded even though the
+    socket is closed afterwards: the request *reached* a live, slow
+    server, and re-sending would double its work and the caller's wait.
+    """
+    return isinstance(error, (ConnectionClosedError, OSError)) and not isinstance(
+        error, FrameTimeoutError
+    )
 
 
 class RemoteShardClient:
@@ -485,262 +487,10 @@ class RemoteShardClient:
             return 0
 
 
-class RemoteShardedClient(ShardedClientFacade):
-    """The `ExEAClient` facade spoken to a cluster of shard processes.
-
-    *endpoints* must be ordered by shard id — endpoint ``i`` serves shard
-    ``i`` of ``len(endpoints)``; construction pings every server and
-    refuses a miswired cluster (wrong shard id, wrong shard count, or a
-    protocol-version mismatch).  The client is thread-safe: concurrent
-    callers share the per-shard connections.  ``wire``/``mux`` pass
-    through to every :class:`RemoteShardClient`.
-    """
-
-    def __init__(
-        self,
-        endpoints: list[str],
-        timeout: float = DEFAULT_TIMEOUT,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        check_topology: bool = True,
-        wire: str | None = None,
-        mux: bool | None = None,
-        trace_sample_rate: float = 1.0,
-        sample_seed: int | None = None,
-        tail_sampler=None,
-    ) -> None:
-        if not endpoints:
-            raise ValueError("at least one shard endpoint is required")
-        super().__init__(
-            len(endpoints),
-            trace_sample_rate=trace_sample_rate,
-            sample_seed=sample_seed,
-            tail_sampler=tail_sampler,
-        )
-        self.endpoints = list(endpoints)
-        self.shards = [
-            RemoteShardClient(
-                endpoint,
-                timeout=timeout,
-                max_frame_bytes=max_frame_bytes,
-                wire=wire,
-                mux=mux,
-            )
-            for endpoint in self.endpoints
-        ]
-        if check_topology:
-            try:
-                self.check_topology()
-            except BaseException:
-                # A failed constructor returns no object to close() — drop
-                # the connections the successful pings pooled so a retry
-                # loop around construction cannot accumulate open sockets.
-                self.close()
-                raise
-
-    # ------------------------------------------------------------------
-    # Transport hook
-    # ------------------------------------------------------------------
-    def _call_shard(self, shard_id, payload, timeout, reject=None):
-        response = self.shards[shard_id].call(payload, timeout=timeout)
-        if reject is not None:
-            rejection = reject(response)
-            if rejection is not None:
-                # Single replica per shard: nowhere to fail over to.
-                raise rejection
-        return response
-
-    def _shard_label(self, shard_id: int) -> str:
-        return f"shard server at {self.shards[shard_id].endpoint}"
-
-    # ------------------------------------------------------------------
-    # Topology
-    # ------------------------------------------------------------------
-    def check_topology(self) -> list[dict]:
-        """Ping every shard and verify it is the shard it should be.
-
-        Checks protocol version, shard id/count, *and* identity: every
-        shard must report the same dataset, model and generation token —
-        shards started against different datasets (or divergent
-        snapshots) would otherwise connect cleanly and silently serve
-        mixed results.
-        """
-        descriptions = []
-        for expected_id, shard in enumerate(self.shards):
-            info = shard.ping()
-            verify_peer_identity(info, shard.endpoint, expected_id, len(self.shards))
-            descriptions.append(info)
-        first = descriptions[0]
-        for info, shard in zip(descriptions[1:], self.shards[1:]):
-            verify_served_identity(
-                first, self.shards[0].endpoint, info, shard.endpoint, scope="shards"
-            )
-        return descriptions
-
-    def generation_tokens(self) -> list[tuple[int, ...]]:
-        """Every shard's current generation token (index = shard id)."""
-        return [tuple(shard.ping()["token"]) for shard in self.shards]
-
-    # ------------------------------------------------------------------
-    # Cluster-wide operations
-    # ------------------------------------------------------------------
-    def pairs(self) -> list[tuple[str, str]]:
-        """Sorted predicted pairs of the served model (from shard 0)."""
-        return [tuple(pair) for pair in self.shards[0].call({"op": OP_PAIRS})]
-
-    def invalidate(self) -> list[dict]:
-        """Fan a cache invalidation out to every shard process.
-
-        Returns one ``{"cleared", "token"}`` payload per shard.  This is
-        the remote analogue of a generation bump: after a client-visible
-        refit or KG mutation, call this so no shard keeps serving results
-        of the previous generation from its cache.
-        """
-        return [shard.call({"op": OP_INVALIDATE}) for shard in self.shards]
-
-    def mutate(self, mutations, timeout: float | None = None) -> dict:
-        """Apply one mutation batch on every shard process, in shard order.
-
-        Every shard server holds a full copy of both graphs (sharding
-        partitions the *pair space*, not the triples), so the edit must
-        land on all of them.  The fan-out is sequential in shard order —
-        a mutation is not latency-critical and ordered application keeps
-        a mid-fan-out failure easy to reason about (shards ``< i``
-        mutated, shards ``>= i`` untouched, error names shard ``i``).
-        Returns shard 0's report with drop/retain counts summed across
-        shards; per-shard reports ride under ``"per_shard"``.
-        """
-        reports = []
-        for shard_id, shard in enumerate(self.shards):
-            try:
-                reports.append(shard.mutate(mutations, timeout=timeout))
-            except RemoteTransportError as error:
-                raise RemoteTransportError(
-                    f"mutation failed at {self._shard_label(shard_id)} "
-                    f"(shards < {shard_id} already mutated): {error}"
-                ) from error
-        first = reports[0]
-        return {
-            "applied": first.get("applied", 0),
-            "token": first.get("token"),
-            "scoped": all(report.get("scoped", False) for report in reports),
-            "entries_dropped": sum(report.get("entries_dropped", 0) for report in reports),
-            "entries_retained": sum(report.get("entries_retained", 0) for report in reports),
-            "blast_entities": first.get("blast_entities", 0),
-            "per_shard": reports,
-        }
-
-    def trace_spans(self, trace_id: str | None = None) -> list[Span]:
-        """Spans recorded by every shard server, pulled over the wire.
-
-        Shards that predate tracing contribute nothing (their unknown-op
-        rejection is swallowed per shard), so a partially upgraded fleet
-        still yields the capable shards' spans.  Combined with the
-        client's own ring via :meth:`trace_timeline` this stitches the
-        full cross-process picture of one request.
-        """
-        spans: list[Span] = []
-        for shard in self.shards:
-            spans.extend(shard.trace_spans(trace_id))
-        return spans
-
-    def pin_trace(self, trace_id: str) -> None:
-        """Fan the tail-sampling pin out to every shard server.
-
-        Only the shard that served the request holds spans, but pinning
-        is idempotent and a pin of an absent trace marks the id so later
-        spans stick — simpler and safer than guessing routing here.
-        """
-        for shard in self.shards:
-            shard.pin_trace(trace_id)
-
-    def wire_snapshot(self) -> dict:
-        """Client-side wire telemetry, overall and per shard endpoint."""
-        per_shard = {shard.endpoint: shard.wire_counters.raw() for shard in self.shards}
-        overall: dict[str, int] = {}
-        for counters in per_shard.values():
-            for key, value in counters.items():
-                overall[key] = overall.get(key, 0) + value
-        return {"overall": overall, "per_endpoint": per_shard}
-
-    def stats_snapshot(self) -> dict:
-        """Overall + per-shard telemetry, merged from every shard's raw stats.
-
-        Matches the shape of
-        :meth:`ShardedExplanationService.stats_snapshot`: raw counters and
-        latency reservoirs are pulled from each process's ``stats``
-        endpoint and merged with :func:`~repro.service.stats.merge_raw`,
-        so the overall figures aggregate exactly as in-process shards do.
-        The extra ``client_wire`` entry is this client's own transport
-        telemetry (the server-side counters ride inside ``counters``).
-        """
-        payloads = [shard.call({"op": OP_STATS}) for shard in self.shards]
-        overall = merge_raw((payload["counters"], payload["latencies"]) for payload in payloads)
-        pair_counts = [int(payload.get("num_pairs", 0)) for payload in payloads]
-        overall["shard_imbalance"]["pair_count"] = imbalance_summary(pair_counts)
-        return {
-            "num_shards": len(self.shards),
-            "overall": overall,
-            "per_shard": [payload["snapshot"] for payload in payloads],
-            "pairs_per_shard": pair_counts,
-            "slow_requests": [
-                entry
-                for payload in payloads
-                for entry in payload.get("slow_requests", [])
-            ],
-            "client_wire": self.wire_snapshot(),
-            **(
-                {"tail_sampling": self.tail_sampler.snapshot()}
-                if self.tail_sampler is not None
-                else {}
-            ),
-        }
-
-    def shutdown_servers(self) -> None:
-        """Ask every shard process to exit (best effort)."""
-        for shard in self.shards:
-            try:
-                shard.call({"op": OP_SHUTDOWN}, timeout=5.0)
-            except RemoteTransportError:
-                pass  # already gone
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close every shard's connections."""
-        for shard in self.shards:
-            shard.close()
-
-    def __enter__(self) -> "RemoteShardedClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def replay_remote_concurrently(
-    client: RemoteShardedClient,
-    workload: Iterable[tuple[str, str, str]],
-    num_clients: int,
-    timeout: float | None = 120.0,
-) -> float:
-    """Drive a scripted replay through *num_clients* concurrent threads.
-
-    The remote analogue of
-    :func:`~repro.service.service.replay_concurrently`: the workload is
-    split round-robin and each slice replays on its own thread through the
-    shared client.  Returns the elapsed wall-clock seconds; thread
-    failures re-raise.
-    """
-    return replay_facade_concurrently(client, workload, num_clients, timeout)
-
-
 __all__ = [
-    "BATCH_CHUNK_SIZE",
     "DEFAULT_TIMEOUT",
     "RemoteShardClient",
-    "RemoteShardedClient",
     "WIRE_AUTO",
     "default_wire",
-    "replay_remote_concurrently",
+    "is_stale_symptom",
 ]

@@ -1,20 +1,20 @@
-"""Spawn and manage a local cluster of per-shard server processes.
+"""Shard-server subprocess plumbing: the serving snapshot and process handles.
 
-:class:`LocalShardCluster` is the process-per-shard deployment in a box:
-it pickles the fitted model + dataset (plus the service/ExEA configs)
-into a *snapshot* file, spawns one ``python -m repro.service serve``
-subprocess per shard against that snapshot, waits for each server's
-``READY`` line to learn its ephemeral port, and hands back a connected
-:class:`~repro.service.transport.client.RemoteShardedClient`.
+A local cluster pickles the fitted model + dataset (plus the service/ExEA
+configs) into a *snapshot* file with :func:`write_snapshot`; every
+``python -m repro.service serve --snapshot PATH`` process loads it with
+:func:`read_snapshot`, prints a ``READY`` line carrying its ephemeral
+port (:func:`_read_ready_line` waits for it), and is then held as a
+:class:`ShardProcess`.
+:class:`~repro.service.cluster.local.ReplicatedLocalCluster` is the one
+spawner built on these pieces.
 
 The snapshot is what makes remote results bit-identical to in-process
 results: every shard process deserialises the *same* fitted embeddings
 and the *same* graphs, rather than refitting from a spec (training is
 seeded and deterministic, but shipping the exact bytes removes even that
-assumption).  Benchmarks, the experiment runner's ``transport="remote"``
-axis and the subprocess tests all go through this class; production
-deployments run the same ``serve`` subcommand under their own process
-supervisor instead (see ``docs/OPERATIONS.md``).
+assumption).  Production deployments run the same ``serve`` subcommand
+under their own process supervisor instead (see ``docs/OPERATIONS.md``).
 """
 
 from __future__ import annotations
@@ -23,17 +23,11 @@ import json
 import os
 import pickle
 import select
-import shutil
 import subprocess
-import sys
-import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from ..config import ServiceConfig
 from ..errors import RemoteTransportError
-from .client import RemoteShardedClient
 
 #: Seconds each shard process gets to print its ``READY`` line.
 DEFAULT_STARTUP_TIMEOUT = 120.0
@@ -142,150 +136,10 @@ class ShardProcess:
             self.process.stdout.close()
 
 
-class LocalShardCluster:
-    """A process-per-shard serving cluster on this machine.
 
-    Use as a context manager::
-
-        with LocalShardCluster(model, dataset, num_shards=2) as cluster:
-            explanation = cluster.client.explain(source, target)
-
-    Every shard subprocess serves the pickled snapshot of *model* and
-    *dataset*; ``config.num_shards`` is overridden by *num_shards* (each
-    process hosts exactly one shard group).
-    """
-
-    def __init__(
-        self,
-        model,
-        dataset,
-        num_shards: int,
-        service_config: ServiceConfig | None = None,
-        exea_config=None,
-        startup_timeout: float = DEFAULT_STARTUP_TIMEOUT,
-        client_timeout: float = 60.0,
-        wire: str | None = None,
-        mux: bool | None = None,
-        server_wire: str | None = None,
-    ) -> None:
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        self.model = model
-        self.dataset = dataset
-        self.num_shards = num_shards
-        self.service_config = service_config or ServiceConfig()
-        self.exea_config = exea_config
-        self.startup_timeout = startup_timeout
-        self.client_timeout = client_timeout
-        #: client codec/transport preference (None = negotiate / env default)
-        self.wire = wire
-        self.mux = mux
-        #: restrict the spawned servers' codecs (``--wire``; None = both)
-        self.server_wire = server_wire
-        self.processes: list[ShardProcess] = []
-        self.client: RemoteShardedClient | None = None
-        self._workdir: Path | None = None
-
-    # ------------------------------------------------------------------
-    def _write_snapshot(self) -> Path:
-        """Create the working directory and pickle the serving snapshot into it."""
-        self._workdir = Path(tempfile.mkdtemp(prefix="repro-shard-cluster-"))
-        return write_snapshot(
-            self._workdir / "snapshot.pkl",
-            self.model,
-            self.dataset,
-            # Each process hosts exactly one shard group, so the config it
-            # serves under says so — a num_shards left at the cluster size
-            # would misdescribe the in-process topology to anything that
-            # reads it inside the shard.
-            service_config=replace(self.service_config, num_shards=1),
-            exea_config=self.exea_config,
-        )
-
-    def _spawn_serve(self, snapshot: Path, shard_id: int, env: dict) -> subprocess.Popen:
-        """Spawn one ``python -m repro.service serve`` subprocess for *shard_id*."""
-        command = [
-            sys.executable,
-            "-m",
-            "repro.service",
-            "serve",
-            "--snapshot",
-            str(snapshot),
-            "--shard-id",
-            str(shard_id),
-            "--num-shards",
-            str(self.num_shards),
-            "--listen",
-            "127.0.0.1:0",
-        ]
-        if self.server_wire is not None:
-            command += ["--wire", self.server_wire]
-        return subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
-
-    @staticmethod
-    def _reap_untracked(spawned: list[subprocess.Popen], tracked_pids: set[int]) -> None:
-        """Kill and reap spawned processes that never reached bookkeeping."""
-        for process in spawned:
-            if process.pid in tracked_pids:
-                continue
-            if process.poll() is None:
-                process.kill()
-            process.wait(timeout=30)  # reap: no zombies from failed startups
-            if process.stdout is not None:
-                process.stdout.close()
-
-    def start(self) -> "LocalShardCluster":
-        """Write the snapshot, spawn every shard, connect the client."""
-        if self.client is not None:
-            return self
-        snapshot = self._write_snapshot()
-        env = _subprocess_env()
-        try:
-            # Spawn every shard first, then wait for the READY lines:
-            # the processes load their snapshots concurrently, so cluster
-            # startup costs ~one shard's startup rather than N of them.
-            spawned: list[subprocess.Popen] = []
-            for shard_id in range(self.num_shards):
-                spawned.append(self._spawn_serve(snapshot, shard_id, env))
-            for shard_id, process in enumerate(spawned):
-                ready = _read_ready_line(process, self.startup_timeout)
-                self.processes.append(ShardProcess(shard_id, process, ready))
-            self.client = RemoteShardedClient(
-                [shard.endpoint for shard in self.processes],
-                timeout=self.client_timeout,
-                wire=self.wire,
-                mux=self.mux,
-            )
-        except BaseException:
-            # Tear down whatever came up, including spawned processes that
-            # never reached ShardProcess bookkeeping.
-            self._reap_untracked(spawned, {shard.process.pid for shard in self.processes})
-            self.close()
-            raise
-        return self
-
-    def kill_shard(self, shard_id: int) -> None:
-        """Kill one shard process outright (crash-behaviour tests)."""
-        self.processes[shard_id].kill()
-
-    def close(self) -> None:
-        """Shut the cluster down: client pools, subprocesses, snapshot dir."""
-        if self.client is not None:
-            try:
-                self.client.shutdown_servers()
-            except Exception:
-                pass
-            self.client.close()
-            self.client = None
-        for shard in self.processes:
-            shard.terminate()
-        self.processes = []
-        if self._workdir is not None:
-            shutil.rmtree(self._workdir, ignore_errors=True)
-            self._workdir = None
-
-    def __enter__(self) -> "LocalShardCluster":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+__all__ = [
+    "DEFAULT_STARTUP_TIMEOUT",
+    "ShardProcess",
+    "read_snapshot",
+    "write_snapshot",
+]

@@ -121,32 +121,21 @@ class TestRunners:
         assert row.transport == "local"
         assert "Hit rate" in format_service_rows([row], title="svc")
 
-    def test_service_experiment_remote_transport(self, model, dataset, scale):
-        """The transport axis: same runner, real shard subprocesses."""
+    @pytest.mark.parametrize("num_replicas", [1, 2])
+    def test_service_experiment_cluster_transport(self, model, dataset, scale, num_replicas):
+        """The transport and replication axes: real shard subprocesses, one
+        per shard or replicated with failover routing."""
         row = run_service_experiment(
             model, dataset, scale, num_requests=120, num_clients=2,
-            num_shards=2, transport="remote",
-        )
-        assert row.transport == "remote"
-        assert row.num_shards == 2
-        assert row.num_requests == 120
-        assert row.requests_per_second > 0
-        table = format_service_rows([row], title="svc")
-        assert "Transport" in table and "remote" in table
-
-    def test_service_experiment_cluster_transport(self, model, dataset, scale):
-        """The replication axis: replicated real subprocesses with failover routing."""
-        row = run_service_experiment(
-            model, dataset, scale, num_requests=120, num_clients=2,
-            num_shards=2, transport="cluster", num_replicas=2,
+            num_shards=2, transport="cluster", num_replicas=num_replicas,
         )
         assert row.transport == "cluster"
         assert row.num_shards == 2
-        assert row.num_replicas == 2
+        assert row.num_replicas == num_replicas
         assert row.num_requests == 120
         assert row.requests_per_second > 0
         table = format_service_rows([row], title="svc")
-        assert "Replicas" in table and "cluster" in table
+        assert "Transport" in table and "Replicas" in table and "cluster" in table
 
     def test_service_experiment_rejects_unknown_transport(self, model, dataset, scale):
         with pytest.raises(ValueError):

@@ -648,3 +648,41 @@ class TestReplicatedCluster:
             stats = json.loads(stats_path.read_text())
             assert stats["num_replicas"] == 2
             assert "shard_imbalance" in stats["overall"]
+
+
+# ----------------------------------------------------------------------
+# `cluster --endpoints`: one replica per shard, no topology file
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def shard_pair(fitted_model, service_dataset):
+    """Two started loopback servers: shard 0 and shard 1 of 2."""
+    services, servers, addresses = [], [], []
+    for shard_id in range(2):
+        service = ExplanationService(
+            fitted_model, service_dataset, ServiceConfig(num_workers=1)
+        ).start()
+        server = ShardServer(service, shard_id=shard_id, num_shards=2)
+        addresses.append(server.bind("127.0.0.1:0"))
+        server.start_in_thread()
+        services.append(service)
+        servers.append(server)
+    yield addresses
+    for server, service in zip(servers, services):
+        server.stop()
+        service.close(drain=False)
+
+
+class TestClusterEndpointsCLI:
+    def test_cluster_cli_replays_against_plain_endpoints(self, shard_pair, capsys):
+        from repro.service.__main__ import cluster_main
+
+        argv = ["--endpoints", ",".join(shard_pair), "--requests", "40", "--clients", "2"]
+        assert cluster_main(argv + ["--mix", "mixed"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["transport"] == "cluster"
+        assert report["num_shards"] == 2
+        assert report["num_replicas"] == 1
+        assert report["num_requests"] == 40
+        assert report["service"]["completed"] == 40
+        assert report["service"]["failed"] == 0
+        assert report["wire"]["wire"] in ("json", "binary")

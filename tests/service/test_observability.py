@@ -27,14 +27,15 @@ import pytest
 from repro.service import (
     CONFIDENCE,
     EXPLAIN,
+    ClusterClient,
     ExEAClient,
     ExplanationService,
-    RemoteShardedClient,
     ReplicatedLocalCluster,
     ServiceConfig,
     ServiceStats,
     ShardServer,
     merge_raw,
+    topology_for_endpoints,
 )
 from repro.service.observability import (
     BUCKET_BOUNDS,
@@ -366,7 +367,7 @@ class TestRemotePropagation:
     @pytest.mark.parametrize("wire", ["json", "binary"])
     def test_trace_crosses_the_wire_and_spans_pull_back(self, traced_server, wire):
         service, _, address = traced_server
-        with RemoteShardedClient([address], wire=wire) as client:
+        with ClusterClient(topology_for_endpoints([[address]]), wire=wire) as client:
             source, target = sorted(client.pairs())[0]
             value, trace = client.traced(EXPLAIN, source, target, timeout=30)
             assert value is not None
@@ -393,7 +394,7 @@ class TestRemotePropagation:
         server.start_in_thread()
         service.start()
         try:
-            with RemoteShardedClient([address]) as client:
+            with ClusterClient(topology_for_endpoints([[address]])) as client:
                 source, target = sorted(client.pairs())[0]
                 # The ping did not advertise `trace`, so the context is
                 # stripped client-side and the call still succeeds.
@@ -409,7 +410,7 @@ class TestRemotePropagation:
 
     def test_untraced_requests_record_no_spans(self, traced_server):
         service, _, address = traced_server
-        with RemoteShardedClient([address]) as client:
+        with ClusterClient(topology_for_endpoints([[address]])) as client:
             source, target = sorted(client.pairs())[0]
             client.explain(source, target, timeout=30)
             assert client.trace_spans() == []
@@ -417,7 +418,7 @@ class TestRemotePropagation:
 
     def test_stats_carry_stage_histograms_and_slow_log_key(self, traced_server):
         _, _, address = traced_server
-        with RemoteShardedClient([address]) as client:
+        with ClusterClient(topology_for_endpoints([[address]])) as client:
             source, target = sorted(client.pairs())[0]
             client.explain(source, target, timeout=30)
             stats = client.stats_snapshot()

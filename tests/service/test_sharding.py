@@ -15,6 +15,7 @@ from repro.service import (
     VERIFY,
     DeadlineExceededError,
     Dispatcher,
+    ExEAClient,
     MicroBatcher,
     RequestQueue,
     ServiceConfig,
@@ -193,7 +194,7 @@ class TestShardedStats:
         )
         config = ServiceConfig(num_shards=3, num_workers=1)
         with ShardedExplanationService(fitted_model, service_dataset, config) as service:
-            replay_concurrently(service, workload, num_clients=4)
+            replay_concurrently(ExEAClient(service), workload, num_clients=4)
         snapshot = service.stats_snapshot()
         assert snapshot["num_shards"] == 3
         assert len(snapshot["per_shard"]) == 3
@@ -213,7 +214,7 @@ class TestShardedStats:
         workload = replay_workload(pairs, 120, seed=5, skew=1.5, kinds=(EXPLAIN,))
         config = ServiceConfig(num_shards=3, num_workers=1)
         with ShardedExplanationService(fitted_model, service_dataset, config) as service:
-            replay_concurrently(service, workload, num_clients=4)
+            replay_concurrently(ExEAClient(service), workload, num_clients=4)
             pair_counts = service.pairs_per_shard()
         snapshot = service.stats_snapshot()
         imbalance = snapshot["overall"]["shard_imbalance"]

@@ -73,7 +73,7 @@ from repro.service.observability import (
     stitch_trace,
 )
 from repro.service.observability.slo import good_total_from_histogram, window_label
-from repro.service.__main__ import doctor_main, metrics_main
+from repro.service.__main__ import cluster_main, doctor_main, metrics_main
 
 GOOD_SECONDS = 0.001  # well under any threshold used here
 BAD_SECONDS = 1.0  # well over any threshold used here
@@ -654,15 +654,6 @@ class TestDoctorDiagnose:
         assert finding["details"]["shard"] == 1
         assert "10.0x the fleet median" in finding["message"]
 
-    def test_per_shard_fallback_names_the_pseudo_replica(self):
-        stats = {
-            "overall": {},
-            "per_shard": [{"p95_ms": 1.0}, {"p95_ms": 1.0}, {"p95_ms": 10.0}],
-        }
-        (finding,) = diagnose(stats)["findings"]
-        assert finding["code"] == "slow-replica"
-        assert finding["details"]["endpoint"] == "shard[2]"
-
     def test_queue_depth_skew_and_shard_imbalance(self):
         stats = {
             "overall": {
@@ -1038,9 +1029,11 @@ class TestDoctorCLI:
         assert "slo:" in capsys.readouterr().err
 
     def test_doctor_requires_exactly_one_addressing_mode(self, capsys):
-        assert doctor_main([]) == 2
-        assert doctor_main(["--endpoints", "a:1", "--topology", "t.json"]) == 2
-        assert "exactly one of" in capsys.readouterr().err
+        # `cluster` and `metrics` share the doctor's addressing helper.
+        for main in (doctor_main, cluster_main, metrics_main):
+            assert main([]) == 2
+            assert main(["--endpoints", "a:1", "--topology", "t.json"]) == 2
+            assert "exactly one of" in capsys.readouterr().err
 
 
 class TestMetricsCLI:

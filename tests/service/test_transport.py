@@ -11,7 +11,8 @@ Three layers of coverage:
   rejected before the body is read, a server dying mid-request surfaces
   as a client error rather than a hang, and stale pooled connections
   reconnect.
-* **Process-per-shard integration** — `LocalShardCluster` spawns real
+* **Process-per-shard integration** — a one-replica
+  `ReplicatedLocalCluster` spawns real
   ``python -m repro.service serve`` subprocesses: results are
   bit-identical to the in-process sharded service at shards ∈ {1, 2},
   replay/explain_many preserve order, stats merge across processes,
@@ -21,6 +22,7 @@ Three layers of coverage:
 
 import socket
 import struct
+import tempfile
 import threading
 import time
 
@@ -33,16 +35,17 @@ from repro.service import (
     CONFIDENCE,
     EXPLAIN,
     VERIFY,
+    ClusterClient,
     DeadlineExceededError,
     ExplanationService,
-    LocalShardCluster,
     RemoteShardClient,
-    RemoteShardedClient,
     RemoteTransportError,
+    ReplicatedLocalCluster,
     ServiceConfig,
     ServiceOverloadedError,
     ShardedExplanationService,
     ShardServer,
+    topology_for_endpoints,
 )
 from repro.service.transport import (
     ConnectionClosedError,
@@ -328,7 +331,7 @@ class TestWireErrors:
         server.start_in_thread()
         try:
             with pytest.raises(RemoteTransportError, match="miswired"):
-                RemoteShardedClient([address])  # expects shard 0 of 1
+                ClusterClient(topology_for_endpoints([[address]]))  # expects shard 0 of 1
         finally:
             server.stop()
             service.close(drain=False)
@@ -358,7 +361,7 @@ class TestWireErrors:
             servers.append(server)
         try:
             with pytest.raises(RemoteTransportError, match="disagree"):
-                RemoteShardedClient(addresses)
+                ClusterClient(topology_for_endpoints([[address] for address in addresses]))
         finally:
             for server, service in zip(servers, services):
                 server.stop()
@@ -369,6 +372,8 @@ class TestWireErrors:
 
         assert main(["sevre"]) == 2
         assert "unknown subcommand" in capsys.readouterr().err
+        assert main(["connect"]) == 2
+        assert "expected one of replay, serve, cluster, metrics, doctor" in capsys.readouterr().err
 
     def test_unix_socket_server_restarts_on_same_path(
         self, fitted_model, service_dataset, tmp_path
@@ -437,25 +442,46 @@ class TestConnectionFailures:
         not truncate into None results."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
+        listener.listen(4)
         host, port = listener.getsockname()
 
-        def answer_short():
-            conn, _ = listener.accept()
+        def answer(conn):
+            # The control plane's probe pings get a shard-0-of-1 identity;
+            # any other request (the batch) gets 1 slot for 2 items.  A
+            # frame this JSON-only fake cannot decode ends the connection.
             with conn:
-                recv_frame(conn)  # the batch request
-                send_frame(conn, {"results": [{"ok": True}]})  # 1 slot for 2 items
+                try:
+                    while (request := recv_frame(conn)) is not None:
+                        if request.get("op") == OP_PING:
+                            send_frame(conn, {"ok": {"shard_id": 0, "num_shards": 1}})
+                        else:
+                            send_frame(conn, {"results": [{"ok": True}]})
+                except (OSError, ProtocolError):
+                    pass
 
-        responder = threading.Thread(target=answer_short, daemon=True)
+        def accept_all():
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                threading.Thread(target=answer, args=(conn,), daemon=True).start()
+
+        responder = threading.Thread(target=accept_all, daemon=True)
         responder.start()
-        client = RemoteShardedClient(
-            [f"{host}:{port}"], timeout=10, check_topology=False, wire="json", mux=False
+        client = ClusterClient(
+            topology_for_endpoints([[f"{host}:{port}"]]),
+            timeout=10,
+            check_topology=False,
+            wire="json",
+            mux=False,
         )
         with pytest.raises(ProtocolError, match="batch"):
             client.replay([(VERIFY, "a", "b"), (VERIFY, "c", "d")])
-        responder.join(timeout=10)
-        listener.close()
         client.close()
+        listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        listener.close()
+        responder.join(timeout=10)
 
     def test_connection_refused_is_a_transport_error(self):
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -596,8 +622,12 @@ class TestRemoteCluster:
                 expected_confidence[pair] = local.submit(CONFIDENCE, *pair).result(60)
                 expected_verify[pair] = local.submit(VERIFY, *pair).result(60)
 
-        with LocalShardCluster(
-            fitted_model, service_dataset, num_shards=num_shards, service_config=config
+        with ReplicatedLocalCluster(
+            fitted_model,
+            service_dataset,
+            num_shards=num_shards,
+            num_replicas=1,
+            service_config=config,
         ) as cluster:
             client = cluster.client
             for pair in pairs:
@@ -614,7 +644,9 @@ class TestRemoteCluster:
         workload = [(EXPLAIN, *pair) for pair in pairs] + [
             (CONFIDENCE, *pair) for pair in reversed(pairs)
         ]
-        with LocalShardCluster(fitted_model, service_dataset, num_shards=2) as cluster:
+        with ReplicatedLocalCluster(
+            fitted_model, service_dataset, num_shards=2, num_replicas=1
+        ) as cluster:
             results = cluster.client.replay(workload)
             assert len(results) == len(workload)
             for (kind, source, target), value in zip(workload, results):
@@ -633,7 +665,9 @@ class TestRemoteCluster:
 
     def test_invalidate_fans_out_to_every_shard(self, fitted_model, service_dataset):
         pairs = predicted_pairs(fitted_model, limit=8)
-        with LocalShardCluster(fitted_model, service_dataset, num_shards=2) as cluster:
+        with ReplicatedLocalCluster(
+            fitted_model, service_dataset, num_shards=2, num_replicas=1
+        ) as cluster:
             client = cluster.client
             for pair in pairs:
                 client.confidence(*pair)
@@ -661,7 +695,9 @@ class TestRemoteCluster:
         self, fitted_model, service_dataset
     ):
         pairs = predicted_pairs(fitted_model, limit=20)
-        with LocalShardCluster(fitted_model, service_dataset, num_shards=2) as cluster:
+        with ReplicatedLocalCluster(
+            fitted_model, service_dataset, num_shards=2, num_replicas=1
+        ) as cluster:
             client = cluster.client
             by_shard = client.router.partition(pairs)
             assert set(by_shard) == {0, 1}, "test pairs routed too unevenly"
@@ -676,3 +712,24 @@ class TestRemoteCluster:
             assert time.monotonic() - start < 30  # an error, not a hang
             # The surviving shard process keeps serving its partition.
             assert client.explain(*survivor_pair) is not None
+
+    def test_failed_snapshot_write_leaves_no_temp_dir(
+        self, fitted_model, service_dataset, tmp_path, monkeypatch
+    ):
+        """A snapshot that cannot be pickled must not leak its work dir."""
+
+        class Unpicklable:
+            def __reduce__(self):
+                raise TypeError("refuses to pickle")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cluster = ReplicatedLocalCluster(
+            fitted_model,
+            service_dataset,
+            num_shards=1,
+            num_replicas=1,
+            exea_config=Unpicklable(),
+        )
+        with pytest.raises(TypeError, match="refuses to pickle"):
+            cluster.start()
+        assert list(tmp_path.iterdir()) == []

@@ -3,9 +3,13 @@
 Runs the same offline link checker CI's ``docs`` job runs
 (``tools/check_links.py``) over README.md and every page under docs/, so
 a broken relative link or anchor fails tier-1 locally, not just in CI.
+The python examples in those pages must also import only names the
+package still exports.
 """
 
+import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +39,50 @@ def test_readme_links_every_docs_page():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     for page in ("docs/ARCHITECTURE.md", "docs/OPERATIONS.md", "docs/BENCHMARKS.md"):
         assert page in readme, f"README.md does not link {page}"
+
+
+_REPRO_IMPORT = re.compile(r"^from\s+(repro(?:\.\w+)*)\s+import\s+(.+)$")
+
+
+def _python_fence_imports():
+    """``(page:line, module, names)`` of every ``from repro… import …`` in a python fence."""
+    found = []
+    for path in _doc_paths():
+        fence = None
+        lines = iter(enumerate(path.read_text(encoding="utf-8").splitlines(), 1))
+        for number, line in lines:
+            stripped = line.strip()
+            if stripped.startswith("```"):
+                fence = None if fence else (stripped[3:].strip().lower() or "text")
+                continue
+            match = _REPRO_IMPORT.match(stripped) if fence in ("python", "py") else None
+            if match is None:
+                continue
+            names = match.group(2)
+            while names.startswith("(") and ")" not in names:
+                names += " " + next(lines)[1].strip()
+            names = names.strip("()").split("#")[0]
+            found.append(
+                (
+                    f"{path.name}:{number}",
+                    match.group(1),
+                    [name.split(" as ")[0].strip() for name in names.split(",") if name.strip()],
+                )
+            )
+    return found
+
+
+def test_doc_examples_import_existing_names():
+    """A renamed or deleted public name must not survive in a doc example."""
+    imports = _python_fence_imports()
+    assert imports, "no python examples found in README.md / docs/"
+    problems = []
+    for where, module_name, names in imports:
+        module = importlib.import_module(module_name)
+        problems += [
+            f"{where}: {module_name} has no {name}" for name in names if not hasattr(module, name)
+        ]
+    assert not problems, "\n".join(problems)
 
 
 def test_no_broken_relative_links():
