@@ -209,9 +209,7 @@ def test_fleet_failover(benchmark, quick):
     failover_workload = replay_workload(
         pairs, failover_n, seed=FLEET_SCALE.seed + 1, kinds=(EXPLAIN, CONFIDENCE)
     )
-    config = ServiceConfig(
-        max_batch_size=32, max_wait_ms=2.0, num_shards=2, num_workers=2
-    )
+    config = ServiceConfig(max_batch_size=32, num_shards=2, num_workers=2)
 
     # Ground truth from an in-process run of the same snapshot: the bar
     # every faulted answer must clear bit-for-bit.

@@ -153,9 +153,7 @@ def _churn_once(model, dataset, exea_config, workload, specs, scoped: bool):
     the scoped/wholesale invalidation counters, and the post-churn value
     of every unique pair (for the bit-identity checks).
     """
-    config = ServiceConfig(
-        max_batch_size=32, max_wait_ms=2.0, num_workers=2, scoped_invalidation=scoped
-    )
+    config = ServiceConfig(max_batch_size=32, num_workers=2, scoped_invalidation=scoped)
     events = _interleave(workload, specs)
     unique_pairs = sorted({(source, target) for _, source, target in workload})
     with ExplanationService(model, dataset, config, exea_config=exea_config) as service:
@@ -218,7 +216,7 @@ def _cold_truth(model, dataset, exea_config, specs, pairs):
 
 def _cluster_leg(model, dataset, exea_config, specs, truth, wire: str) -> dict:
     """Fan the same mutation log through a real subprocess cluster."""
-    config = ServiceConfig(max_batch_size=32, max_wait_ms=2.0, num_workers=2)
+    config = ServiceConfig(max_batch_size=32, num_workers=2)
     start = time.perf_counter()
     with ReplicatedLocalCluster(
         model,

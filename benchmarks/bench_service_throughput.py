@@ -103,7 +103,7 @@ def test_service_throughput(benchmark, dataset_cache, model_cache, bench_scale, 
             direct.generator.explain(source, target, reference)
         direct_seconds = time.perf_counter() - start
 
-        config = ServiceConfig(max_batch_size=32, max_wait_ms=2.0, num_workers=2)
+        config = ServiceConfig(max_batch_size=32, num_workers=2)
         service = ExplanationService(model, dataset, config, exea_config=exea_config)
         with service:
             client = ExEAClient(service)
@@ -154,7 +154,7 @@ def test_service_throughput(benchmark, dataset_cache, model_cache, bench_scale, 
     )
 
     assert row["pairs_with_identical_results"] == row["num_unique_pairs"]
-    record_fresh_row(row["workload"], row)
+    record_fresh_row(row["workload"], row, quick)
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     _write_row(row["workload"], row)
@@ -182,9 +182,7 @@ def test_service_mixed_dispatcher_vs_per_worker(
 
     def run_once_in(scheduler: str):
         """One fresh service: cold replay, warm replay, result sample."""
-        config = ServiceConfig(
-            max_batch_size=32, max_wait_ms=2.0, num_workers=2, scheduler=scheduler
-        )
+        config = ServiceConfig(max_batch_size=32, num_workers=2, scheduler=scheduler)
         service = ExplanationService(model, dataset, config, exea_config=exea_config)
         with service:
             client = ExEAClient(service)
@@ -254,7 +252,7 @@ def test_service_mixed_dispatcher_vs_per_worker(
     )
 
     assert row["pairs_with_identical_results"] == row["num_unique_pairs"]
-    record_fresh_row(row["workload"], row)
+    record_fresh_row(row["workload"], row, quick)
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     _write_row(row["workload"], row)
@@ -280,9 +278,7 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
     )
     unique_pairs = sorted({(source, target) for _, source, target in workload})
     exea_config = ExEAConfig(explanation=ExplanationConfig(max_hops=MAX_HOPS))
-    config = ServiceConfig(
-        max_batch_size=32, max_wait_ms=2.0, num_workers=2, num_shards=num_shards
-    )
+    config = ServiceConfig(max_batch_size=32, num_workers=2, num_shards=num_shards)
 
     def measure():
         # In-process sharded baseline: same shard count, same router.
@@ -383,7 +379,7 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
     # The hard invariant at any speed: neither the process boundary nor
     # the codec choice may change a single result bit.
     assert row["pairs_with_identical_results"] == row["num_unique_pairs"]
-    record_fresh_row(row["workload"], row)
+    record_fresh_row(row["workload"], row, quick)
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     _write_row(row["workload"], row)
@@ -413,9 +409,7 @@ def test_service_cluster_failover(benchmark, dataset_cache, model_cache, bench_s
     )
     unique_pairs = sorted({(source, target) for _, source, target in workload})
     exea_config = ExEAConfig(explanation=ExplanationConfig(max_hops=MAX_HOPS))
-    config = ServiceConfig(
-        max_batch_size=32, max_wait_ms=2.0, num_workers=2, num_shards=num_shards
-    )
+    config = ServiceConfig(max_batch_size=32, num_workers=2, num_shards=num_shards)
 
     def measure():
         # In-process sharded reference results (the bit-identical oracle).
@@ -531,7 +525,7 @@ def test_service_cluster_failover(benchmark, dataset_cache, model_cache, bench_s
     # no result bit.
     assert row["failed_requests_during_kill"] == 0
     assert row["pairs_with_identical_results"] == row["num_unique_pairs"]
-    record_fresh_row(row["workload"], row)
+    record_fresh_row(row["workload"], row, quick)
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     _write_row(row["workload"], row)

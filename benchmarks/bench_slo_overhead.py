@@ -77,7 +77,7 @@ def test_tail_sampling_overhead(benchmark, dataset_cache, model_cache, bench_sca
     )
     unique_pairs = sorted({(source, target) for _, source, target in workload})
     exea_config = ExEAConfig(explanation=ExplanationConfig(max_hops=MAX_HOPS))
-    config = ServiceConfig(max_batch_size=32, max_wait_ms=2.0, num_workers=2)
+    config = ServiceConfig(max_batch_size=32, num_workers=2)
     slo_cycles = 200 if quick else SLO_CYCLES
 
     def replay_traced(sampler: TailSampler | None):
@@ -163,7 +163,7 @@ def test_tail_sampling_overhead(benchmark, dataset_cache, model_cache, bench_sca
     # Every trace was started (fraction 1.0) and keeps stay a small subset.
     assert row["tail_counters"]["started"] == row["num_requests"] * 2
     assert row["tail_kept_total"] <= row["tail_counters"]["started"]
-    record_fresh_row(row["workload"], row)
+    record_fresh_row(row["workload"], row, quick)
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     _write_row(row["workload"], row)

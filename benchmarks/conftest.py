@@ -21,7 +21,7 @@ _SRC = Path(__file__).parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.experiments import ExperimentScale, prepare_dataset, train_model  # noqa: E402
+from repro.experiments import ExperimentScale, prepare_dataset, run_metadata, train_model  # noqa: E402
 
 #: Scale used by all benchmarks (reduced from the paper's 15k-pair datasets).
 BENCH_SCALE = ExperimentScale(
@@ -98,14 +98,16 @@ def run_once(benchmark, function):
     return benchmark.pedantic(function, rounds=1, iterations=1, warmup_rounds=0)
 
 
-def record_fresh_row(key: str, row: dict) -> None:
+def record_fresh_row(key: str, row: dict, quick: bool) -> None:
     """Append *row* to the ``REPRO_BENCH_FRESH_OUT`` file, when configured.
 
     The CI bench-smoke job points this env var at a scratch file; every
     benchmark records its freshly measured row there even in ``--quick``
     mode (which never touches the committed ``BENCH_*.json`` artifacts),
     and ``tools/check_bench.py`` then compares the fresh rows against the
-    committed ones to catch order-of-magnitude performance collapses.
+    committed quick rows (``BENCH_quick.json``, written the same way) to
+    catch order-of-magnitude performance collapses.  The row's ``meta``
+    records the run metadata and whether it was measured in quick mode.
     """
     path = os.environ.get("REPRO_BENCH_FRESH_OUT")
     if not path:
@@ -114,5 +116,6 @@ def record_fresh_row(key: str, row: dict) -> None:
     existing = {}
     if target.exists():
         existing = json.loads(target.read_text())
-    existing[key] = row
+    meta = {**run_metadata(), "mode": "quick" if quick else "full", "nproc": os.cpu_count()}
+    existing[key] = {**row, "meta": meta}
     target.write_text(json.dumps(existing, indent=2, sort_keys=True))

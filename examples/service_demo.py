@@ -34,8 +34,9 @@ def main() -> None:
     print(f"{model.name} greedy-alignment accuracy: {model.accuracy():.3f}")
 
     # 2. Start the service: 2 workers, batches of up to 16 requests that
-    #    wait at most 2ms for company, a 4k-entry versioned LRU cache.
-    config = ServiceConfig(max_batch_size=16, max_wait_ms=2.0, num_workers=2)
+    #    hold whatever queued while the workers were busy, a 4k-entry
+    #    versioned LRU cache.
+    config = ServiceConfig(max_batch_size=16, num_workers=2)
     with ExplanationService(model, dataset, config) as service:
         client = ExEAClient(service)
 
@@ -74,7 +75,7 @@ def main() -> None:
     #    across shards (own dispatcher, worker pool and cache each), the
     #    client routes transparently, results stay bit-identical.
     dataset.kg1.add_triple(removed)  # restore the graph mutated in step 5
-    sharded_config = ServiceConfig(max_batch_size=16, max_wait_ms=2.0, num_workers=1, num_shards=4)
+    sharded_config = ServiceConfig(max_batch_size=16, num_workers=1, num_shards=4)
     with ShardedExplanationService(model, dataset, sharded_config) as sharded:
         client = ShardedExEAClient(sharded)
         assert client.explain(*pair) == explanation

@@ -122,7 +122,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="central cross-worker dispatcher (default) or the PR-2 per-worker baseline",
     )
     parser.add_argument("--max-batch-size", type=int, default=32)
-    parser.add_argument("--max-wait-ms", type=float, default=2.0)
     parser.add_argument("--queue-capacity", type=int, default=1024)
     parser.add_argument("--cache-capacity", type=int, default=4096)
     parser.add_argument(
@@ -330,7 +329,6 @@ def _service_config(args: argparse.Namespace, num_shards: int = 1) -> ServiceCon
     """Build the ServiceConfig from parsed CLI knobs."""
     return ServiceConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         queue_capacity=args.queue_capacity,
         num_workers=args.workers,
         cache_capacity=args.cache_capacity,
@@ -433,7 +431,6 @@ def replay_main(argv: list[str]) -> int:
         "num_shards": stats["num_shards"],
         "config": {
             "max_batch_size": config.max_batch_size,
-            "max_wait_ms": config.max_wait_ms,
             "queue_capacity": config.queue_capacity,
             "num_workers": config.num_workers,
             "cache_capacity": config.cache_capacity,

@@ -3,12 +3,12 @@
 The queue is the admission controller: a fixed capacity, non-blocking
 ``put`` that raises :class:`ServiceOverloadedError` when full (the
 backpressure signal), and a blocking ``get`` the workers park on.  The
-:class:`MicroBatcher` implements the coalescing policy on top: after the
-first request of a batch arrives it keeps draining the queue until either
-``max_batch_size`` requests are gathered or ``max_wait`` elapses —
-whichever comes first — so concurrent traffic is served through
-:meth:`ExplanationEngine.explain_batch` instead of one engine call per
-request.
+:class:`MicroBatcher` implements the coalescing policy on top: it blocks
+for the first request of a batch, then takes only what is already queued,
+up to ``max_batch_size``, without waiting for more.  A lone request goes
+to a worker at once; requests that queued while the shard was busy are
+served together through :meth:`ExplanationEngine.explain_batch` instead
+of one engine call per request.
 """
 
 from __future__ import annotations
@@ -112,23 +112,24 @@ class RequestQueue:
 
 
 class MicroBatcher:
-    """Coalesces queued requests into batches under a size/latency policy."""
+    """Coalesces already-queued requests into batches of at most ``max_batch_size``."""
 
-    def __init__(self, queue: RequestQueue, max_batch_size: int, max_wait_seconds: float) -> None:
+    def __init__(self, queue: RequestQueue, max_batch_size: int) -> None:
         self.queue = queue
         self.max_batch_size = max_batch_size
-        self.max_wait_seconds = max_wait_seconds
 
     def next_batch(self) -> list[ServiceRequest]:
-        """Block for the next batch; empty list means the queue closed."""
+        """Block for the first request, then drain without waiting.
+
+        An empty list means the queue closed.
+        """
         first = self.queue.get()
         if first is None:
             return []
         first.gathered_at = time.monotonic()
         batch = [first]
-        wait_until = first.gathered_at + self.max_wait_seconds
         while len(batch) < self.max_batch_size:
-            request = self.queue.get(timeout=wait_until - time.monotonic())
+            request = self.queue.get(timeout=0)
             if request is None:
                 break
             request.gathered_at = time.monotonic()

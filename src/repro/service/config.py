@@ -12,13 +12,9 @@ class ServiceConfig:
     Attributes:
         max_batch_size: upper bound on the number of requests the
             dispatcher gathers into one cycle (and therefore on the size
-            of any batch handed to a worker).
-        max_wait_ms: how long the dispatcher keeps gathering extra
-            requests after the first one before packing a partial cycle.
-            The classic batching trade-off: higher values raise batch
-            occupancy (throughput), lower values cut queueing latency.
-            ``0`` still drains everything already queued, so concurrent
-            bursts batch up even with no added latency.
+            of any batch handed to a worker).  A cycle never waits for
+            more requests: it holds whatever queued while the shard was
+            busy, so a lone request reaches a worker at once.
         queue_capacity: admission-control bound on queued requests;
             submissions beyond it fail fast with
             :class:`~repro.service.errors.ServiceOverloadedError`.
@@ -61,7 +57,6 @@ class ServiceConfig:
     """
 
     max_batch_size: int = 32
-    max_wait_ms: float = 2.0
     queue_capacity: int = 1024
     num_workers: int = 2
     cache_capacity: int = 4096
@@ -78,8 +73,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.num_workers < 1:

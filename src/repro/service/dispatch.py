@@ -6,10 +6,12 @@ happened to pull, and mixed explain/confidence batches were split *inside*
 the worker after the batching decision was already made.  The
 :class:`Dispatcher` inverts that: one scheduler thread drains the queue
 through the same :class:`~repro.service.batching.MicroBatcher` policy
-(max batch size, max added wait), packs each gather cycle into
-**operation-homogeneous** batches (explain requests together,
-confidence/verify requests together — the two kinds run different engine
-paths), and routes each packed batch to an idle worker.  Workers are pure
+(whatever is already queued, up to the max batch size, with no added
+wait), packs each gather cycle into **operation-homogeneous** batches
+(explain requests together, confidence/verify requests together — the
+two kinds run different engine paths), and routes each packed batch to
+an idle worker.  While every worker is busy the dispatcher blocks on the
+pool, so the next cycle holds what queued meanwhile.  Workers are pure
 executors over their private engine backends; with mixed traffic the
 explain batch and the confidence batch of one gather cycle run on
 *different* workers concurrently instead of being serialised inside one.

@@ -210,11 +210,7 @@ class ExplanationService:
         #: shared queue themselves and the confidence oracle runs
         #: pair-at-a-time.  Both modes expose `batcher` and `pool`.
         self._per_worker = self.config.scheduler == "per-worker"
-        self.batcher = MicroBatcher(
-            self.queue,
-            max_batch_size=self.config.max_batch_size,
-            max_wait_seconds=self.config.max_wait_ms / 1000.0,
-        )
+        self.batcher = MicroBatcher(self.queue, max_batch_size=self.config.max_batch_size)
         if self._per_worker:
             self.pool = MicroBatchWorkerPool(
                 self.config.num_workers, self.batcher, self._handle_batch

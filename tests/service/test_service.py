@@ -183,7 +183,7 @@ class TestConcurrency:
         direct = ExEA(fitted_model, service_dataset)
         expected = {pair: direct.explain(*pair) for pair in pairs}
 
-        config = ServiceConfig(num_workers=3, max_batch_size=8, max_wait_ms=1.0)
+        config = ServiceConfig(num_workers=3, max_batch_size=8)
         results: list[dict] = []
         errors: list[BaseException] = []
 
@@ -216,6 +216,21 @@ class TestConcurrency:
 # ----------------------------------------------------------------------
 # Queue / batcher mechanics (no model required)
 # ----------------------------------------------------------------------
+class _RecordingQueue(RequestQueue):
+    """Records the ``timeout`` of every ``get``; flags the first blocking one."""
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__(capacity)
+        self.timeouts: list[float | None] = []
+        self.blocking_get = threading.Event()
+
+    def get(self, timeout: float | None = None) -> ServiceRequest | None:
+        self.timeouts.append(timeout)
+        if timeout is None:
+            self.blocking_get.set()
+        return super().get(timeout)
+
+
 class TestMicroBatching:
     def _request(self, name: str) -> ServiceRequest:
         return ServiceRequest(kind=EXPLAIN, pair=(name, name))
@@ -224,7 +239,7 @@ class TestMicroBatching:
         queue = RequestQueue(capacity=16)
         for index in range(5):
             queue.put(self._request(f"e{index}"))
-        batcher = MicroBatcher(queue, max_batch_size=8, max_wait_seconds=0.0)
+        batcher = MicroBatcher(queue, max_batch_size=8)
         batch = batcher.next_batch()
         assert [request.pair[0] for request in batch] == ["e0", "e1", "e2", "e3", "e4"]
 
@@ -232,7 +247,7 @@ class TestMicroBatching:
         queue = RequestQueue(capacity=16)
         for index in range(5):
             queue.put(self._request(f"e{index}"))
-        batcher = MicroBatcher(queue, max_batch_size=3, max_wait_seconds=0.0)
+        batcher = MicroBatcher(queue, max_batch_size=3)
         assert len(batcher.next_batch()) == 3
         assert len(batcher.next_batch()) == 2
 
@@ -240,6 +255,64 @@ class TestMicroBatching:
         queue = RequestQueue(capacity=4)
         queue.put(self._request("pending"))
         queue.close()
-        batcher = MicroBatcher(queue, max_batch_size=4, max_wait_seconds=0.0)
+        batcher = MicroBatcher(queue, max_batch_size=4)
         assert [request.pair[0] for request in batcher.next_batch()] == ["pending"]
         assert batcher.next_batch() == []
+
+    @pytest.mark.parametrize(
+        "queued, max_batch_size, timeouts",
+        [
+            # the fourth get finds the queue empty and ends the batch at once
+            (3, 8, [None, 0, 0, 0]),
+            # a full batch stops draining without another get
+            (5, 3, [None, 0, 0]),
+        ],
+    )
+    def test_batcher_drains_without_waiting(self, queued, max_batch_size, timeouts):
+        """One blocking get for the first request, then only non-blocking ones."""
+        queue = _RecordingQueue(capacity=16)
+        for index in range(queued):
+            queue.put(self._request(f"e{index}"))
+        batch = MicroBatcher(queue, max_batch_size=max_batch_size).next_batch()
+        assert [request.pair[0] for request in batch] == [
+            f"e{index}" for index in range(min(queued, max_batch_size))
+        ]
+        assert queue.timeouts == timeouts
+
+    def test_lone_request_is_released_at_once(self):
+        """A request arriving at an idle batcher forms a batch of one, unwaited."""
+        queue = _RecordingQueue(capacity=4)
+        batcher = MicroBatcher(queue, max_batch_size=8)
+        batches: list[list[ServiceRequest]] = []
+        consumer = threading.Thread(target=lambda: batches.append(batcher.next_batch()))
+        consumer.start()
+        assert queue.blocking_get.wait(10)
+        queue.put(self._request("lone"))
+        consumer.join(10)
+        assert not consumer.is_alive()
+        assert [[request.pair[0] for request in batch] for batch in batches] == [["lone"]]
+        assert queue.timeouts == [None, 0]
+
+
+# ----------------------------------------------------------------------
+# The gather timer is gone: no config field, no CLI flag
+# ----------------------------------------------------------------------
+class TestNoGatherWindow:
+    def test_config_has_no_max_wait(self):
+        with pytest.raises(TypeError):
+            ServiceConfig(max_wait_ms=1.0)
+
+    @pytest.mark.parametrize("entry", ["replay_main", "serve_main"])
+    def test_cli_rejects_max_wait_flag(self, entry, capsys, monkeypatch):
+        from repro.service import __main__ as cli
+
+        def parsed(args):
+            raise AssertionError("--max-wait-ms was accepted")
+
+        # Were the flag accepted, the command would go on to fit a model
+        # (and serve forever); fail at that point instead.
+        monkeypatch.setattr(cli, "_fit_model", parsed)
+        with pytest.raises(SystemExit) as exit_info:
+            getattr(cli, entry)(["--max-wait-ms", "1"])
+        assert exit_info.value.code == 2
+        assert "--max-wait-ms" in capsys.readouterr().err

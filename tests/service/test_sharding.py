@@ -152,7 +152,7 @@ class TestShardedConcurrency:
         direct = ExEA(fitted_model, service_dataset)
         expected = {pair: direct.explain(*pair) for pair in pairs}
 
-        config = ServiceConfig(num_shards=3, num_workers=2, max_batch_size=8, max_wait_ms=1.0)
+        config = ServiceConfig(num_shards=3, num_workers=2, max_batch_size=8)
         results: list[dict] = []
         errors: list[BaseException] = []
 
@@ -281,7 +281,7 @@ class TestDispatcherPacking:
 
         pool = WorkerPool(2, handler)
         group_of = lambda kind: CONFIDENCE if kind == VERIFY else kind  # noqa: E731
-        batcher = MicroBatcher(queue, max_batch_size=16, max_wait_seconds=0.0)
+        batcher = MicroBatcher(queue, max_batch_size=16)
         dispatcher = Dispatcher(batcher, pool, group_of=group_of)
         dispatcher.start()
         dispatcher.join(timeout=10)
@@ -313,9 +313,7 @@ class TestDispatcherPacking:
                 request.future.set_result(None)
 
         pool = WorkerPool(1, handler)
-        dispatcher = Dispatcher(
-            MicroBatcher(queue, max_batch_size=1, max_wait_seconds=0.0), pool, precheck=precheck
-        )
+        dispatcher = Dispatcher(MicroBatcher(queue, max_batch_size=1), pool, precheck=precheck)
         dispatcher.start()
         queue.put(boom)
         with pytest.raises(RuntimeError):
@@ -342,7 +340,7 @@ class TestDispatcherPacking:
                 request.future.set_result(None)
 
         pool = WorkerPool(1, handler)
-        dispatcher = Dispatcher(MicroBatcher(queue, max_batch_size=3, max_wait_seconds=0.0), pool)
+        dispatcher = Dispatcher(MicroBatcher(queue, max_batch_size=3), pool)
         dispatcher.start()
         dispatcher.join(timeout=10)
         assert sum(sizes) == 7

@@ -1109,3 +1109,15 @@ class TestBenchTripwire:
         )
         (failure,) = report["failures"]
         assert failure["collapse"] == math.inf
+
+    def test_default_reference_holds_only_quick_rows(self):
+        """Quick rows are compared with quick rows, never with full-mode ones."""
+        check_bench = _load_check_bench()
+        reference = check_bench.load_rows([check_bench.DEFAULT_REFERENCE])
+        assert any("warm_rps" in row for row in reference.values())
+        full_mode = [
+            workload
+            for workload, row in reference.items()
+            if row.get("meta", {}).get("mode") != "quick"
+        ]
+        assert full_mode == []

@@ -1,28 +1,33 @@
-"""Bench-smoke tripwire: fresh quick rows vs the committed BENCH artifacts.
+"""Bench-smoke tripwire: fresh quick rows vs the committed quick rows.
 
 The CI bench-smoke job runs every benchmark in ``--quick`` mode with
 ``REPRO_BENCH_FRESH_OUT`` pointing at a scratch file, so each benchmark
 records the row it just measured without touching the committed
 ``benchmarks/BENCH_*.json`` artifacts.  This script then compares the
-fresh rows against the committed ones and fails ONLY on a catastrophic
-collapse: a workload whose committed warm throughput exceeds the fresh
-measurement by more than ``--max-collapse`` (default 3x).
+fresh rows against a committed reference of rows measured the same way
+and fails ONLY on a catastrophic collapse: a workload whose committed
+warm throughput exceeds the fresh measurement by more than
+``--max-collapse`` (default 3x).
+
+The default reference is ``benchmarks/BENCH_quick.json``: quick rows
+written through ``REPRO_BENCH_FRESH_OUT`` with their run metadata
+(``meta.mode == "quick"``).  Full-mode rows replay ten times as many
+requests, so their warm throughput sits several times above any quick
+measurement; they are not a reference.  Regenerate it from the
+``benchmarks/`` directory with the bench-smoke sequence and
+``REPRO_BENCH_FRESH_OUT=BENCH_quick.json``.
 
 Quick mode runs a tenth of the full workload on a shared CI runner, so
 absolute numbers are noisy by design — the deliberately loose factor
 catches "the batcher stopped batching" / "the cache stopped hitting"
 regressions, not single-digit-percent drift.  Workloads present on only
 one side are reported but never fail the check (new benchmarks land
-before their committed row; committed rows for heavier suites may not
-run in the smoke job).
+before their committed row).
 
 Usage::
 
     python tools/check_bench.py --fresh /tmp/fresh.json \
-        [--committed benchmarks/BENCH_service.json ...] [--max-collapse 3.0]
-
-With no ``--committed`` arguments every ``benchmarks/BENCH_*.json`` next
-to this repo is loaded and merged.
+        [--committed benchmarks/BENCH_quick.json ...] [--max-collapse 3.0]
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+#: Committed quick-mode rows the fresh rows are compared against.
+DEFAULT_REFERENCE = REPO_ROOT / "benchmarks" / "BENCH_quick.json"
 
 #: Row metrics the tripwire watches (throughput only; latencies are far
 #: too machine-dependent for a cross-run comparison).
@@ -108,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         "--committed",
         action="append",
         default=None,
-        help="committed BENCH_*.json file(s); default: every benchmarks/BENCH_*.json",
+        help="committed quick-row file(s); default: benchmarks/BENCH_quick.json",
     )
     parser.add_argument(
         "--max-collapse",
@@ -125,11 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             "check_bench: did the bench run export REPRO_BENCH_FRESH_OUT?", file=sys.stderr
         )
         return 2
-    committed_paths = (
-        [Path(path) for path in args.committed]
-        if args.committed
-        else sorted((REPO_ROOT / "benchmarks").glob("BENCH_*.json"))
-    )
+    committed_paths = [Path(path) for path in args.committed or [DEFAULT_REFERENCE]]
     fresh = load_rows([fresh_path])
     committed = load_rows(committed_paths)
     result = compare(fresh, committed, max_collapse=args.max_collapse)
@@ -139,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         if workload not in failed_workloads:
             print(f"check_bench: {workload}: ok")
     for workload in result["skipped"]:
-        print(f"check_bench: {workload}: skipped (present on one side only)")
+        print(f"check_bench: {workload}: skipped (no watched metric on both sides)")
     for failure in result["failures"]:
         print(
             f"check_bench: FAIL {failure['workload']}.{failure['metric']}: "
