@@ -28,8 +28,6 @@ directly (``python bench_fit_scale.py [--quick]``) or via pytest.
 no artifact writes.
 """
 
-import ctypes
-import glob
 import importlib.util
 import json
 import os
@@ -42,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import run_once
+from conftest import blas_threads, run_once
 from repro.datasets import generate_dataset
 from repro.datasets.registry import benchmark_config
 from repro.experiments import ExperimentScale, run_metadata
@@ -57,22 +55,6 @@ SCALES = (1, 5, 10)
 QUICK_SCALE = 1
 #: Propagation operator of the checkout under test.
 PROPAGATION = "sparse" if importlib.util.find_spec("repro.models.sparse") else "dense"
-
-
-def _blas_threads() -> int | str:
-    """Thread count of the OpenBLAS build NumPy loaded, when it can be asked."""
-    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(glob.glob(str(libs_dir / "*openblas*"))):
-        try:
-            library = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-            getter = getattr(library, symbol, None)
-            if getter is not None:
-                getter.restype = ctypes.c_int
-                return int(getter())
-    return os.environ.get("OPENBLAS_NUM_THREADS", "unknown")
 
 
 def _graph_size(dataset) -> tuple[int, int]:
@@ -131,7 +113,7 @@ def test_fit_scale(benchmark, quick, model_name, scale):
                 "nproc": os.cpu_count(),
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "blas_threads": _blas_threads(),
+                "blas_threads": blas_threads(),
             },
         }
 

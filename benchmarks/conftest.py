@@ -10,11 +10,14 @@ CPU-friendly size (see ``BENCH_SCALE``).  Increase ``dataset_scale`` /
 sample sizes for a closer run.
 """
 
+import ctypes
+import glob
 import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _SRC = Path(__file__).parent.parent / "src"
@@ -98,6 +101,22 @@ def run_once(benchmark, function):
     return benchmark.pedantic(function, rounds=1, iterations=1, warmup_rounds=0)
 
 
+def blas_threads() -> int | str:
+    """Thread count of the OpenBLAS build NumPy loaded, when it can be asked."""
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs_dir / "*openblas*"))):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(library, symbol, None)
+            if getter is not None:
+                getter.restype = ctypes.c_int
+                return int(getter())
+    return os.environ.get("OPENBLAS_NUM_THREADS", "unknown")
+
+
 def record_fresh_row(key: str, row: dict, quick: bool) -> None:
     """Append *row* to the ``REPRO_BENCH_FRESH_OUT`` file, when configured.
 
@@ -107,7 +126,8 @@ def record_fresh_row(key: str, row: dict, quick: bool) -> None:
     and ``tools/check_bench.py`` then compares the fresh rows against the
     committed quick rows (``BENCH_quick.json``, written the same way) to
     catch order-of-magnitude performance collapses.  The row's ``meta``
-    records the run metadata and whether it was measured in quick mode.
+    records the run metadata, the BLAS thread count in effect and whether
+    it was measured in quick mode.
     """
     path = os.environ.get("REPRO_BENCH_FRESH_OUT")
     if not path:
@@ -116,6 +136,11 @@ def record_fresh_row(key: str, row: dict, quick: bool) -> None:
     existing = {}
     if target.exists():
         existing = json.loads(target.read_text())
-    meta = {**run_metadata(), "mode": "quick" if quick else "full", "nproc": os.cpu_count()}
+    meta = {
+        **run_metadata(),
+        "mode": "quick" if quick else "full",
+        "nproc": os.cpu_count(),
+        "blas_threads": blas_threads(),
+    }
     existing[key] = {**row, "meta": meta}
     target.write_text(json.dumps(existing, indent=2, sort_keys=True))

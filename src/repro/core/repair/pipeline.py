@@ -86,12 +86,9 @@ class EARepairer:
         self.config = config or RepairConfig()
         self.generator = ExplanationGenerator(model, self.dataset, self.config.explanation)
         self.adg_builder = ADGBuilder(model, self.dataset, self.config.adg)
-        self._relation_alignment: RelationAlignment | None = None
-        self._rules_kg1: NotSameAsRuleSet | None = None
-        self._rules_kg2: NotSameAsRuleSet | None = None
+        #: built from the mined artefacts current when it was first needed;
+        #: the cached confidences that consulted it were computed under them
         self._conflict_resolver: RelationConflictResolver | None = None
-        #: token the mined artefacts were mined under (None = nothing mined)
-        self._mined_token: tuple[int, int, int] | None = None
         self._similarity_cache: dict[tuple[str, str], float] = {}
         self._similarity_version: int = model.embedding_version
         #: key -> (confidence, relation conflicts resolved by that ADG build)
@@ -100,7 +97,7 @@ class EARepairer:
         self._num_relation_conflicts = 0
 
     # ------------------------------------------------------------------
-    # Lazily mined reasoning artefacts
+    # Mined reasoning artefacts
     # ------------------------------------------------------------------
     def _token(self) -> tuple[int, int, int]:
         return (
@@ -109,45 +106,34 @@ class EARepairer:
             self.model.embedding_version,
         )
 
-    def _ensure_mined_fresh(self) -> None:
-        """Drop mined artefacts when either graph or the model moved on.
-
-        The relation alignment and ¬sameAs rule sets are mined from the
-        *whole* graphs (relation inventories, full triple scans), so any
-        mutation can change them; re-mining lazily under the current token
-        keeps live results bit-identical with a cold rebuild.
-        """
-        if self._mined_token is not None and self._mined_token != self._token():
-            self._relation_alignment = None
-            self._rules_kg1 = None
-            self._rules_kg2 = None
-            self._conflict_resolver = None
-            self._mined_token = None
-
     @property
     def relation_alignment(self) -> RelationAlignment:
-        """Mutual relation alignment between the two KGs (mined on first use)."""
-        self._ensure_mined_fresh()
-        if self._relation_alignment is None:
-            self._relation_alignment = mine_relation_alignment(
-                self.model, self.dataset.kg1, self.dataset.kg2
-            )
-            self._mined_token = self._token()
-        return self._relation_alignment
+        """Mutual relation alignment between the two KGs, current with the graphs.
+
+        Served from the memo in :mod:`.rules`, shared with every other
+        caller in the process.
+        """
+        return mine_relation_alignment(self.model, self.dataset.kg1, self.dataset.kg2)
 
     @property
     def not_same_as_rules(self) -> tuple[NotSameAsRuleSet, NotSameAsRuleSet]:
-        """¬sameAs rule sets of the two KGs (mined on first use)."""
-        self._ensure_mined_fresh()
-        if self._rules_kg1 is None or self._rules_kg2 is None:
-            self._rules_kg1 = mine_not_same_as_rules(self.dataset.kg1)
-            self._rules_kg2 = mine_not_same_as_rules(self.dataset.kg2)
-            self._mined_token = self._token()
-        return self._rules_kg1, self._rules_kg2
+        """¬sameAs rule sets of the two KGs, current with the graphs.
+
+        Served from each graph's incremental miner in :mod:`.rules`.
+        """
+        return mine_not_same_as_rules(self.dataset.kg1), mine_not_same_as_rules(self.dataset.kg2)
 
     @property
     def conflict_resolver(self) -> RelationConflictResolver:
-        self._ensure_mined_fresh()
+        """The cr1 resolver, built from the artefacts current at its first use.
+
+        Reaching it first reconciles the confidence cache with the graphs
+        (:meth:`_sync_confidence_cache`), which drops a resolver whose
+        artefacts a write has superseded.
+        """
+        token = self._token()
+        if token != self._confidence_token:
+            self._sync_confidence_cache(token)
         if self._conflict_resolver is None:
             rules_kg1, rules_kg2 = self.not_same_as_rules
             self._conflict_resolver = RelationConflictResolver(
@@ -160,24 +146,19 @@ class EARepairer:
         return self._conflict_resolver
 
     def _mined_artifacts_changed(self) -> bool:
-        """Re-mine under the current graphs; True when any artefact differs.
+        """True when the resolver's artefacts differ from the current ones.
 
-        Artefacts that were never mined cannot have influenced any cached
-        confidence, so they do not count as changed.
+        The resolver holds the artefacts every cached confidence that
+        consulted it was computed under; the current ones come from the
+        shared stores, which catch up on writes without a full scan.
+        Without a resolver no cached confidence consulted the artefacts,
+        so they do not count as changed.
         """
-        old_alignment = self._relation_alignment
-        old_rules = (self._rules_kg1, self._rules_kg2)
-        self._relation_alignment = None
-        self._rules_kg1 = None
-        self._rules_kg2 = None
-        self._conflict_resolver = None
-        self._mined_token = None
-        changed = False
-        if old_alignment is not None and self.relation_alignment != old_alignment:
-            changed = True
-        if old_rules[0] is not None and self.not_same_as_rules != old_rules:
-            changed = True
-        return changed
+        resolver = self._conflict_resolver
+        if resolver is None:
+            return False
+        used = (resolver.relation_alignment, resolver.rules_kg1, resolver.rules_kg2)
+        return used != (self.relation_alignment, *self.not_same_as_rules)
 
     # ------------------------------------------------------------------
     # Confidence oracle shared by the repair stages
@@ -281,35 +262,35 @@ class EARepairer:
         return results
 
     def _sync_confidence_cache(self, token: tuple[int, int, int]) -> None:
-        """Reconcile the confidence cache with a generation change.
+        """Reconcile the confidence cache (and the cr1 resolver) with a generation change.
 
         A model refit drops everything (including the similarity cache).
         A pure KG mutation tries the scoped path: when both graphs'
         mutation logs cover the span *and* the mined reasoning artefacts
-        re-mine to the same values, only entries whose pair falls inside
-        the relation-seeded blast radius are evicted — confidence depends
-        on the global functionality statistics of mutated relations, so
-        the ball is seeded with every endpoint of every triple carrying a
-        mutated relation (see :meth:`KnowledgeGraph.blast_radius`).  If a
-        log cannot cover the span or the mined artefacts shifted (they are
-        global functions of the graphs), fall back to the wholesale drop.
+        the cached confidences used equal the current ones, only entries
+        whose pair falls inside the relation-seeded blast radius are
+        evicted — confidence depends on the global functionality
+        statistics of mutated relations, so the ball is seeded with every
+        endpoint of every triple carrying a mutated relation (see
+        :meth:`KnowledgeGraph.blast_radius`).  The artefact check mines
+        nothing in full: the relation-alignment memo and each
+        graph's rule miner apply only the logged writes.  If a log cannot
+        cover the span or the artefacts moved (they are global functions
+        of the graphs), fall back to the wholesale drop, which also drops
+        the resolver so its next use is built from the current artefacts.
         """
         old = self._confidence_token
         self._confidence_token = token
-        if old is not None and token[2] != old[2]:
+        refit = old is not None and token[2] != old[2]
+        if refit:
             self._similarity_cache.clear()
-        if old is None or not self._confidence_cache:
-            self._confidence_cache.clear()
-            self._ensure_mined_fresh()
-            return
-        if token[2] != old[2]:
-            self._confidence_cache.clear()
-            self._ensure_mined_fresh()
-            return
-        records1 = self.dataset.kg1.mutations_since(old[0])
-        records2 = self.dataset.kg2.mutations_since(old[1])
+        records1 = records2 = None
+        if old is not None and self._confidence_cache and not refit:
+            records1 = self.dataset.kg1.mutations_since(old[0])
+            records2 = self.dataset.kg2.mutations_since(old[1])
         if records1 is None or records2 is None or self._mined_artifacts_changed():
             self._confidence_cache.clear()
+            self._conflict_resolver = None
             return
         hops = self.config.explanation.max_hops
         blast1 = self.dataset.kg1.blast_radius(records1, hops, include_relations=True)

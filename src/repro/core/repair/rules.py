@@ -13,17 +13,32 @@ Two ingredients feed the relation-alignment conflict detector:
   when the two relations never point a common subject at the same object
   but do co-occur on at least one subject with different objects (the
   paper's "real rule instance" condition).
+
+Both are global functions of the graphs, yet live writes touch one
+triple at a time, so neither is mined again in full per write.
+Each graph keeps one incremental rule miner, shared by every caller in
+the process: a triple ``(h, r, t)`` can only change subject ``h``'s
+contribution to the rule set, so the miner catches up through
+:meth:`KnowledgeGraph.mutations_since` by recomputing only the logged
+heads, and falls back to one full scan on first use or a gap in the log.
+The relation alignment is memoized per ``(model, kg1, kg2)`` and mined
+again only when a relation inventory, ``model.embedding_version`` or the
+arguments change.  Neither store is pickled with its graph, and neither
+keeps a dropped graph or model alive.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from ...embedding import cosine_matrix, greedy_match
-from ...kg import KnowledgeGraph
+from ...kg import KnowledgeGraph, Triple
 from ...models import EAModel
 
 
@@ -74,6 +89,23 @@ class RelationAlignment:
         return sorted(self.forward.items())
 
 
+@dataclass
+class _AlignmentMemo:
+    """The relation alignment last mined for one ``(model, kg1, kg2)``."""
+
+    key: tuple  #: ``(name_weight, min_score, model.embedding_version)``
+    inventories: tuple[frozenset[str], frozenset[str]]
+    alignment: RelationAlignment
+    #: graph versions the inventories were last confirmed at
+    versions: tuple[int, int]
+
+
+#: model -> kg1 -> kg2 -> memo; weak at every level, so a dropped model or
+#: graph takes its entries with it.
+_ALIGNMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_ALIGNMENTS_LOCK = threading.Lock()
+
+
 def mine_relation_alignment(
     model: EAModel,
     kg1: KnowledgeGraph,
@@ -87,9 +119,41 @@ def mine_relation_alignment(
     cosine similarity of the model's relation embeddings.  Greedy matching
     (highest scores first, each relation used once) keeps only pairs above
     ``min_score``.
+
+    The result depends on the graphs only through their relation
+    inventories, so it is memoized per ``(model, kg1, kg2)`` and mined
+    again only when an inventory, ``model.embedding_version`` or an
+    argument changes.  A graph write that keeps both inventories (every
+    ``remove_triple`` does) costs one inventory comparison.  GCN-Align's
+    Eq. 1 relation matrix is cached on the model at first use and only a
+    refit refreshes it, with or without this memo.
     """
-    relations1 = sorted(kg1.relations)
-    relations2 = sorted(kg2.relations)
+    key = (name_weight, min_score, model.embedding_version)
+    versions = (kg1.version, kg2.version)
+    with _ALIGNMENTS_LOCK:
+        by_kg1 = _ALIGNMENTS.setdefault(model, weakref.WeakKeyDictionary())
+        by_kg2 = by_kg1.setdefault(kg1, weakref.WeakKeyDictionary())
+        memo = by_kg2.get(kg2)
+        if memo is not None and memo.key == key and memo.versions == versions:
+            return memo.alignment
+        inventories = (frozenset(kg1.relations), frozenset(kg2.relations))
+        if memo is None or memo.key != key or memo.inventories != inventories:
+            alignment = _scan_relation_alignment(
+                model, sorted(inventories[0]), sorted(inventories[1]), name_weight, min_score
+            )
+            memo = by_kg2[kg2] = _AlignmentMemo(key, inventories, alignment, versions)
+        memo.versions = versions
+        return memo.alignment
+
+
+def _scan_relation_alignment(
+    model: EAModel,
+    relations1: list[str],
+    relations2: list[str],
+    name_weight: float,
+    min_score: float,
+) -> RelationAlignment:
+    """Score every relation pair and match greedily (no memo)."""
     if not relations1 or not relations2:
         return RelationAlignment()
     name_scores = np.array(
@@ -155,6 +219,126 @@ class NotSameAsRuleSet:
         for pair in sorted(tuple(sorted(p)) for p in self._pairs):
             yield NotSameAsRule(*pair)
 
+    @classmethod
+    def _of_pairs(cls, pairs: set[frozenset[str]]) -> "NotSameAsRuleSet":
+        """A rule set over *pairs*, which it takes ownership of."""
+        rules = cls()
+        rules._pairs = pairs
+        return rules
+
+
+#: One relation pair, its two names sorted.
+_Pair = tuple[str, str]
+
+
+def _subject_pairs(triples: Iterable[Triple]) -> tuple[tuple[_Pair, ...], tuple[_Pair, ...]]:
+    """The relation pairs one subject makes *candidate* and *violating*.
+
+    *triples* are the subject's outgoing triples.  A pair is violating
+    when the two relations point the subject at a common object (the rule
+    would be wrong), and a candidate when they point it at different
+    objects (a real rule instance).
+    """
+    objects_by_relation: dict[str, set[str]] = defaultdict(set)
+    for triple in triples:
+        objects_by_relation[triple.relation].add(triple.tail)
+    relations = sorted(objects_by_relation)
+    candidate: list[_Pair] = []
+    violating: list[_Pair] = []
+    for i, relation1 in enumerate(relations):
+        objects1 = objects_by_relation[relation1]
+        for relation2 in relations[i + 1:]:
+            objects2 = objects_by_relation[relation2]
+            if not objects1.isdisjoint(objects2):
+                violating.append((relation1, relation2))
+            if objects1 != objects2:
+                candidate.append((relation1, relation2))
+    return tuple(candidate), tuple(violating)
+
+
+class _RuleMiner:
+    """The ¬sameAs rule set of one graph, kept current from its mutation log.
+
+    Per subject it keeps the relation pairs that subject makes candidate
+    or violating, and per pair how many subjects do each.  A rule is a
+    pair with at least one candidate subject and no violating subject.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        #: graph version the state reflects (None = never scanned)
+        self.version: int | None = None
+        #: replaced, never changed in place, when the rules move
+        self.rules = NotSameAsRuleSet()
+        self._subjects: dict[str, tuple[tuple[_Pair, ...], tuple[_Pair, ...]]] = {}
+        self._candidates: dict[_Pair, int] = {}
+        self._violations: dict[_Pair, int] = {}
+
+    def rules_of(self, kg: KnowledgeGraph) -> NotSameAsRuleSet:
+        """The rules of *kg* at its current version (callers serialise on ``lock``)."""
+        version = kg.version
+        if version != self.version:
+            records = None if self.version is None else kg.mutations_since(self.version)
+            if records is None:
+                self._scan(kg)
+            else:
+                heads = {record.triple.head for record in records if record.triple is not None}
+                self._update(kg, heads)
+            self.version = version
+        return self.rules
+
+    def _scan(self, kg: KnowledgeGraph) -> None:
+        """Rebuild from every subject of *kg* (first use, or a gap in the log)."""
+        self._subjects.clear()
+        self._candidates.clear()
+        self._violations.clear()
+        self.rules = NotSameAsRuleSet()
+        self._update(kg, {triple.head for triple in kg.triples})
+
+    def _update(self, kg: KnowledgeGraph, heads: set[str]) -> None:
+        """Recompute the contributions of *heads* from the live graph."""
+        touched: set[_Pair] = set()
+        for head in heads:
+            old = self._subjects.pop(head, ((), ()))
+            new = _subject_pairs(kg.outgoing(head))
+            if new[0] or new[1]:
+                self._subjects[head] = new
+            if new == old:
+                continue
+            _shift(self._candidates, old[0], -1, touched)
+            _shift(self._violations, old[1], -1, touched)
+            _shift(self._candidates, new[0], 1, touched)
+            _shift(self._violations, new[1], 1, touched)
+        current = self.rules._pairs
+        added: set[frozenset[str]] = set()
+        dropped: set[frozenset[str]] = set()
+        for pair in touched:
+            as_set = frozenset(pair)
+            is_rule = pair in self._candidates and pair not in self._violations
+            if is_rule and as_set not in current:
+                added.add(as_set)
+            elif not is_rule and as_set in current:
+                dropped.add(as_set)
+        if added or dropped:
+            self.rules = NotSameAsRuleSet._of_pairs((current - dropped) | added)
+
+
+def _shift(counts: dict[_Pair, int], pairs: tuple[_Pair, ...], delta: int, touched: set[_Pair]) -> None:
+    """Add *delta* to the count of every pair, dropping counts that reach 0."""
+    for pair in pairs:
+        count = counts.get(pair, 0) + delta
+        if count:
+            counts[pair] = count
+        else:
+            del counts[pair]
+    touched.update(pairs)
+
+
+#: graph -> its rule miner.  Weak, so a dropped graph takes its miner with
+#: it; outside the graph, so a pickled graph carries no miner.
+_MINERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_MINERS_LOCK = threading.Lock()
+
 
 def mine_not_same_as_rules(kg: KnowledgeGraph) -> NotSameAsRuleSet:
     """Mine ¬sameAs rules from a single KG.
@@ -165,30 +349,17 @@ def mine_not_same_as_rules(kg: KnowledgeGraph) -> NotSameAsRuleSet:
        objects can clearly coincide;
     2. at least one subject has both relations with different objects — the
        "real rule instance" filter the paper adds to avoid vacuous rules.
+
+    The result is exactly what a full scan of the current graph returns.
+    It is served from the graph's incremental miner, which recomputes
+    only the subjects of the triples written since its last call and
+    scans the whole graph on first use or a gap in the mutation log.
+    The returned set is never changed afterwards: a later write that
+    moves the rules yields a new set.  Safe to call from several threads.
     """
-    # subject -> relation -> objects
-    objects_by_subject: dict[str, dict[str, set[str]]] = defaultdict(lambda: defaultdict(set))
-    for triple in kg.triples:
-        objects_by_subject[triple.head][triple.relation].add(triple.tail)
-
-    candidate_pairs: set[frozenset[str]] = set()
-    violating_pairs: set[frozenset[str]] = set()
-    for relation_objects in objects_by_subject.values():
-        relations = sorted(relation_objects)
-        for i, relation1 in enumerate(relations):
-            for relation2 in relations[i + 1:]:
-                pair = frozenset((relation1, relation2))
-                objects1 = relation_objects[relation1]
-                objects2 = relation_objects[relation2]
-                if objects1 & objects2:
-                    # The two relations point this subject at the same
-                    # object: the rule would be wrong.
-                    violating_pairs.add(pair)
-                if objects1 - objects2 or objects2 - objects1:
-                    candidate_pairs.add(pair)
-
-    rules = NotSameAsRuleSet()
-    for pair in candidate_pairs - violating_pairs:
-        relation1, relation2 = sorted(pair)
-        rules.add(NotSameAsRule(relation1, relation2))
-    return rules
+    with _MINERS_LOCK:
+        miner = _MINERS.get(kg)
+        if miner is None:
+            miner = _MINERS[kg] = _RuleMiner()
+    with miner.lock:
+        return miner.rules_of(kg)

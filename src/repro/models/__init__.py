@@ -1,7 +1,7 @@
 """The four base EA models explained and repaired by ExEA."""
 
 from .aligne import AlignE
-from .base import EAModel, EntityIndex, TrainingConfig, build_adjacency
+from .base import EAModel, EntityIndex, EpochRecord, TrainingConfig, build_adjacency
 from .dual_amn import DualAMN
 from .gcn_align import GCNAlign
 from .mtranse import MTransE
@@ -28,6 +28,7 @@ __all__ = [
     "DualAMN",
     "EAModel",
     "EntityIndex",
+    "EpochRecord",
     "GCNAlign",
     "MODEL_REGISTRY",
     "MTransE",

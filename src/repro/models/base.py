@@ -55,6 +55,14 @@ class TrainingConfig:
     extra: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class EpochRecord:
+    """Training loss and wall seconds of one fit epoch."""
+
+    loss: float
+    seconds: float
+
+
 class EntityIndex:
     """Bidirectional entity/relation <-> integer id mapping over both KGs."""
 
@@ -116,6 +124,9 @@ class EAModel:
         self._entity_norms: np.ndarray | None = None
         self._unit_entity_matrix: np.ndarray | None = None
         self._embedding_version = 0
+        #: one record per epoch of the last fit, for models whose training
+        #: loop computes a loss over the whole seed set (the GCN models)
+        self.fit_history: list[EpochRecord] = []
 
     # ------------------------------------------------------------------
     # Training
@@ -125,6 +136,7 @@ class EAModel:
         self.dataset = dataset
         self.index = EntityIndex(dataset)
         rng = np.random.default_rng(self.config.seed)
+        self.fit_history = []
         self.entity_matrix, self.relation_matrix = self._train(dataset, self.index, rng)
         self._derived_relation_matrix = None
         self._entity_norms = None

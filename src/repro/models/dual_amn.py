@@ -29,11 +29,13 @@ vectors to the explanation generator just like the original.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..embedding import l2_normalize_rows, make_optimizer
 from ..kg import EADataset, KnowledgeGraph
-from .base import EAModel, EntityIndex
+from .base import EAModel, EntityIndex, EpochRecord
 from .gcn import GCNEncoder, logsumexp_mining_gradient
 from .sparse import SparseAdjacency
 
@@ -75,6 +77,7 @@ class DualAMN(EAModel):
         output = encoder.forward(SparseAdjacency.identity(index.num_entities()))
         adjacency = self._attention_adjacency(triples, index, output, source_ids, target_ids)
         for epoch in range(self.epochs):
+            started = time.perf_counter()
             if epoch > 0 and epoch % self.refresh_interval == 0:
                 adjacency = self._attention_adjacency(
                     triples, index, output, source_ids, target_ids
@@ -82,10 +85,11 @@ class DualAMN(EAModel):
             output = encoder.forward(adjacency)
             if len(source_ids) == 0:
                 break
-            gradient, _ = logsumexp_mining_gradient(
+            gradient, loss = logsumexp_mining_gradient(
                 output, source_ids, target_ids, margin=config.margin, scale=self.loss_scale
             )
             encoder.apply_gradients(encoder.backward(gradient), optimizer)
+            self.fit_history.append(EpochRecord(loss, time.perf_counter() - started))
         learned = l2_normalize_rows(encoder.forward(adjacency))
         signature = self._relation_signature(dataset, index)
         entity_matrix = np.concatenate(

@@ -23,11 +23,13 @@ Table I (the model cannot tell which of an entity's triples matter).
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from ..embedding import l2_normalize_rows, make_optimizer
 from ..kg import EADataset
-from .base import EAModel, EntityIndex, build_adjacency
+from .base import EAModel, EntityIndex, EpochRecord, build_adjacency
 from .gcn import GCNEncoder, pair_margin_gradient
 from .sparse import SparseAdjacency
 
@@ -65,14 +67,16 @@ class GCNAlign(EAModel):
         num_entities = index.num_entities()
 
         for _ in range(self.epochs if seed_pairs else 0):
+            started = time.perf_counter()
             repeated_sources = np.repeat(source_ids, config.negative_samples)
             repeated_targets = np.repeat(target_ids, config.negative_samples)
             negative_targets = rng.integers(0, num_entities, size=repeated_sources.shape[0])
             output = encoder.forward(adjacency)
-            gradient, _ = pair_margin_gradient(
+            gradient, loss = pair_margin_gradient(
                 output, repeated_sources, repeated_targets, negative_targets, config.margin
             )
             encoder.apply_gradients(encoder.backward(gradient), optimizer)
+            self.fit_history.append(EpochRecord(loss, time.perf_counter() - started))
 
         learned = l2_normalize_rows(encoder.forward(adjacency))
         propagation = self._seed_propagation(adjacency, index, source_ids, target_ids)

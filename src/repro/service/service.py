@@ -25,11 +25,13 @@ depends on global relation-functionality statistics) survive the
 generation change, bit-identical with a cold rebuild.  A mutation falls
 back to the pre-PR-8 wholesale drop when the mutation log cannot cover
 the span, when the mined reasoning artefacts (relation alignment /
-¬sameAs rules — global functions of the graphs) re-mine to different
-values, or when ``ServiceConfig.scoped_invalidation`` is off.  Out-of-band
-mutations (someone editing a KG without going through ``mutate``) keep
-the wholesale contract: the next lookup sees a newer token and drops
-everything.
+¬sameAs rules — global functions of the graphs) change, or when
+``ServiceConfig.scoped_invalidation`` is off.  The artefacts are not
+mined again per write: :mod:`repro.core.repair.rules` keeps one copy per
+graph, shared by the service and every worker's repairer, and applies
+each write from the mutation log.  Out-of-band mutations (someone
+editing a KG without going through ``mutate``) keep the wholesale
+contract: the next lookup sees a newer token and drops everything.
 
 Operations
 ----------
@@ -237,11 +239,6 @@ class ExplanationService:
         #: while a mutation is in flight, lookups see the pre-mutation
         #: token instead of a half-advanced live one (see ``mutate``)
         self._token_override: GenerationToken | None = None
-        #: mined reasoning artefacts (relation alignment + ¬sameAs rules)
-        #: memoized per token — the scoped/wholesale decision compares the
-        #: pre- and post-mutation values
-        self._mined_fingerprint: tuple | None = None
-        self._mined_fingerprint_token: GenerationToken | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -622,14 +619,12 @@ class ExplanationService:
     def _mutate_locked(self, specs: list[MutationSpec]) -> dict:
         """Apply *specs* and reconcile the cache (caller holds the write gate)."""
         old_token = self._token()
-        fingerprint_before = self._mined_fingerprint_under(old_token)
+        artifacts_before = self._mined_artifacts()
         self._token_override = old_token
         try:
             records1, records2 = self._apply_specs(specs)
             new_token = self._live_token()
-            scopes, blast = self._compute_scopes(
-                records1, records2, fingerprint_before, new_token
-            )
+            scopes, blast = self._compute_scopes(records1, records2, artifacts_before)
             report = self._advance_cache(new_token, scopes, blast)
         finally:
             # Cleared only after the cache reached the new token: a lookup
@@ -660,28 +655,29 @@ class ExplanationService:
                 kg.remove_triple(spec.triple)
         return kg1.mutations_since(before1), kg2.mutations_since(before2)
 
-    def _mined_fingerprint_under(self, token: GenerationToken):
-        """Mined reasoning artefacts under *token*, memoized per token.
+    def _mined_artifacts(self):
+        """The mined reasoning artefacts of the live graphs, or ``None``.
 
         ``None`` when cr1 is disabled — the conflict resolver is never
         consulted, so no cached confidence depends on the artefacts and
         the equality check degenerates to "unchanged".  With cr1 on this
-        re-mines (O(triples)) once per generation; the cost is what buys
-        scoped confidence eviction its correctness, because the artefacts
-        are global functions of the graphs.
+        reads the stores in :mod:`repro.core.repair.rules` that the
+        workers' repairers share: a write costs each graph's rule miner
+        the subjects it touched and the relation-alignment memo one
+        inventory comparison, not a scan of the graphs.  The artefacts
+        are global functions of the graphs, so comparing the pre- and
+        post-mutation values is what buys scoped confidence eviction its
+        correctness.
         """
         if not self.exea_config.repair.enable_relation_conflicts:
             return None
-        if self._mined_fingerprint_token != token:
-            self._mined_fingerprint = (
-                mine_relation_alignment(self.model, self.dataset.kg1, self.dataset.kg2),
-                mine_not_same_as_rules(self.dataset.kg1),
-                mine_not_same_as_rules(self.dataset.kg2),
-            )
-            self._mined_fingerprint_token = token
-        return self._mined_fingerprint
+        return (
+            mine_relation_alignment(self.model, self.dataset.kg1, self.dataset.kg2),
+            mine_not_same_as_rules(self.dataset.kg1),
+            mine_not_same_as_rules(self.dataset.kg2),
+        )
 
-    def _compute_scopes(self, records1, records2, fingerprint_before, new_token):
+    def _compute_scopes(self, records1, records2, artifacts_before):
         """Per-kind entity scopes for the cache advance.
 
         Returns ``(scopes, blast_entities)``; ``scopes is None`` means
@@ -696,7 +692,7 @@ class ExplanationService:
             return None, 0
         if records1 is None or records2 is None:
             return None, 0
-        if fingerprint_before != self._mined_fingerprint_under(new_token):
+        if artifacts_before != self._mined_artifacts():
             return None, 0
         hops = self.exea_config.explanation.max_hops
         kg1, kg2 = self.dataset.kg1, self.dataset.kg2

@@ -236,15 +236,13 @@ class ShardedExplanationService:
         primary = self.shards[0]
         with self._mutation_gate.write():
             old_token = primary._token()
-            fingerprint_before = primary._mined_fingerprint_under(old_token)
+            artifacts_before = primary._mined_artifacts()
             for shard in self.shards:
                 shard._token_override = old_token
             try:
                 records1, records2 = primary._apply_specs(specs)
                 new_token = primary._live_token()
-                scopes, blast = primary._compute_scopes(
-                    records1, records2, fingerprint_before, new_token
-                )
+                scopes, blast = primary._compute_scopes(records1, records2, artifacts_before)
                 dropped = retained = 0
                 for shard in self.shards:
                     shard_report = shard._advance_cache(new_token, scopes, blast)

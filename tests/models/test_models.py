@@ -175,6 +175,20 @@ class TestModelSpecifics:
         second = MTransE(config).fit(tiny_dataset)
         assert np.allclose(first.entity_matrix, second.entity_matrix)
 
+    @pytest.mark.parametrize("name", ["GCN-Align", "Dual-AMN"])
+    def test_gcn_fits_keep_one_finite_loss_per_epoch(self, fitted_models, fast_config, name):
+        history = fitted_models[name].fit_history
+        assert len(history) == fast_config.epochs
+        assert all(np.isfinite(record.loss) for record in history)
+        assert all(record.seconds >= 0.0 for record in history)
+
+    def test_refit_restarts_the_fit_history(self, tiny_dataset):
+        model = GCNAlign(TrainingConfig(dim=8, epochs=3, seed=1)).fit(tiny_dataset)
+        first = model.fit_history
+        model.fit(tiny_dataset)
+        assert len(model.fit_history) == 3
+        assert [record.loss for record in model.fit_history] == [record.loss for record in first]
+
 
 class TestGCNInternals:
     def test_encoder_forward_shape(self):

@@ -34,6 +34,7 @@ import pytest
 
 from faultlib import ChaosController, dataset_copy, predicted_pairs, removal_specs
 from repro.core import ExEA
+from repro.core.repair import rules
 from repro.datasets import replay_workload
 from repro.kg import Triple
 from repro.service import (
@@ -171,12 +172,55 @@ class TestServiceMutate:
 
             after = {pair: (client.explain(*pair), client.confidence(*pair)) for pair in pairs}
 
-        cold = ExEA(model, dataset)  # the graphs now hold the post-mutation state
+        # Fresh graph objects holding the post-mutation state: a reference
+        # on the mutated ones would reuse their warm rule miners.
+        cold = ExEA(model, dataset_copy(dataset))
         reference = cold.reference_alignment()
         for pair in pairs:
             assert after[pair][0] == cold.explain(*pair)
             assert after[pair][1] == cold.repairer.confidence(*pair, reference)
         assert warm  # pre-mutation results were captured (warmed the cache)
+
+    def test_scoped_mutation_runs_no_full_scan(self, private_copy, monkeypatch):
+        """The service and both workers' repairers share one rule miner per
+        graph and one relation-alignment memo: after warm-up, a scoped
+        write and the confidence reads behind it run no full scan."""
+        dataset, model = private_copy
+        pairs = predicted_pairs(model, limit=12)
+        full_scans = []
+        scan_rules = rules._RuleMiner._scan
+        scan_alignment = rules._scan_relation_alignment
+
+        def counting_rule_scan(miner, kg):
+            full_scans.append("rules")
+            return scan_rules(miner, kg)
+
+        def counting_alignment_scan(*args):
+            full_scans.append("alignment")
+            return scan_alignment(*args)
+
+        monkeypatch.setattr(rules._RuleMiner, "_scan", counting_rule_scan)
+        monkeypatch.setattr(rules, "_scan_relation_alignment", counting_alignment_scan)
+
+        with ExplanationService(model, dataset) as service:
+            assert service.config.num_workers == 2
+            client = ExEAClient(service)
+            for pair in pairs:
+                client.confidence(*pair)
+            # First use: one scan per graph and one alignment mine, shared
+            # by both workers.
+            assert sorted(full_scans) == ["alignment", "rules", "rules"]
+            full_scans.clear()
+
+            report = service.mutate(removal_specs(dataset))
+            assert report["scoped"] is True
+            after = {pair: client.confidence(*pair) for pair in pairs}
+            assert full_scans == []
+
+        cold = ExEA(model, dataset_copy(dataset))
+        reference = cold.reference_alignment()
+        for pair in pairs:
+            assert after[pair] == cold.repairer.confidence(*pair, reference)
 
     def test_retained_entries_still_hit_after_scoped_mutation(self, private_copy):
         dataset, model = private_copy
@@ -210,7 +254,7 @@ class TestServiceMutate:
             assert service.stats.invalidation["scoped"] == 0
             after = {pair: client.confidence(*pair) for pair in pairs}
 
-        cold = ExEA(model, dataset)
+        cold = ExEA(model, dataset_copy(dataset))
         reference = cold.reference_alignment()
         for pair in pairs:
             assert after[pair] == cold.repairer.confidence(*pair, reference)
