@@ -543,7 +543,12 @@ def decode_binary(body: bytes, blob_cache: dict | None = None) -> tuple[int, dic
     request_id = peek_request_id(body)
     _, offset = _read_varint(body, 2)
     decoder = _Decoder(body, offset, blob_cache)
-    payload = decoder.read_value()
+    try:
+        payload = decoder.read_value()
+    except RecursionError:
+        # Nesting is bounded only by the frame size: a few hundred KB of
+        # one-element lists outruns the interpreter stack.
+        raise ProtocolError("binary frame nests values too deeply to decode") from None
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"frame payload must be an object, got {type(payload).__name__}"

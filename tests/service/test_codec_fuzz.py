@@ -13,11 +13,15 @@ MatchedPath, Explanation, a spliced blob, TraceContext and MutationSpec).
   must come back as a response frame or a hang-up within the client
   timeout, never a hang.  A body the decoder rejects must be answered
   with a ``ProtocolError`` error frame, then a hang-up.
+* **Deep nesting** — 100,000 nested one-element lists fit the frame
+  bound easily but outrun the interpreter stack; the decoder must turn
+  that into a :class:`ProtocolError` on both ends of the wire.
 """
 
 import json
 import random
 import socket
+import threading
 
 import pytest
 
@@ -26,11 +30,14 @@ from repro.kg import Triple
 from repro.service import (
     ExplanationService,
     MutationSpec,
+    RemoteShardClient,
+    RemoteTransportError,
     ServiceConfig,
     ShardServer,
     TraceContext,
 )
 from repro.service.transport import (
+    DEFAULT_MAX_FRAME_BYTES,
     ProtocolError,
     decode_binary,
     encode_binary,
@@ -39,7 +46,7 @@ from repro.service.transport import (
     recv_frame_raw,
     send_raw_frame,
 )
-from repro.service.transport.wire import BINARY_MAGIC
+from repro.service.transport.wire import BINARY_MAGIC, BINARY_VERSION
 
 #: Seed of every generator in this module (corruption positions/bytes).
 SEED = 2323
@@ -205,3 +212,47 @@ class TestServerFuzz:
             _exchange(fuzz_server, body)
         response, _ = _exchange(fuzz_server, encode_binary({"op": "ping"}))
         assert response["ok"]["shard_id"] == 0
+
+
+# ----------------------------------------------------------------------
+# Deep nesting
+# ----------------------------------------------------------------------
+def deeply_nested_body(depth: int = 100_000) -> bytes:
+    """A binary body of *depth* nested one-element lists (2 bytes a level)."""
+    header = bytes([BINARY_MAGIC, BINARY_VERSION, 0, 0])  # id 0, empty string table
+    return header + b"\x06\x01" * depth + b"\x00"
+
+
+class TestDeepNesting:
+    def test_decoder_raises_protocol_error(self):
+        body = deeply_nested_body()
+        assert len(body) < DEFAULT_MAX_FRAME_BYTES
+        with pytest.raises(ProtocolError, match="nests"):
+            decode_binary(body)
+
+    def test_server_answers_with_a_protocol_error_frame(self, fuzz_server):
+        response, hung_up = _exchange(fuzz_server, deeply_nested_body())
+        assert response is not None, "the server hung up without an error frame"
+        assert response["error"]["type"] == "ProtocolError"
+        assert hung_up
+
+    def test_client_raises_a_transport_error_on_a_nested_response(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+
+        def answer_nested():
+            conn, _ = listener.accept()
+            with conn:
+                while recv_frame_raw(conn) is not None:
+                    send_raw_frame(conn, frame_raw(deeply_nested_body()))
+
+        responder = threading.Thread(target=answer_nested, daemon=True)
+        responder.start()
+        client = RemoteShardClient(f"{host}:{port}", timeout=CLIENT_TIMEOUT, wire="binary", mux=False)
+        try:
+            with pytest.raises(RemoteTransportError, match="nests"):
+                client.call({"op": "ping"})
+        finally:
+            client.close()
+            responder.join(timeout=CLIENT_TIMEOUT)
+            listener.close()
