@@ -20,7 +20,7 @@ hit rate across the 1-5% sweep, and two bit-identity proofs:
   service equals a **cold rebuild** on the post-mutation graphs;
 * the same mutation log fanned out through a **2 shard x 2 replica
   subprocess cluster** (ordered ``mutate`` op) serves the same
-  post-mutation results on BOTH wire codecs (JSON v1 and binary v2).
+  post-mutation results over the wire.
 
 Acceptance: at 2% writes the scoped churn hit rate is >= 5x the
 wholesale one, with all bit-identity counts full.
@@ -214,7 +214,7 @@ def _cold_truth(model, dataset, exea_config, specs, pairs):
     }
 
 
-def _cluster_leg(model, dataset, exea_config, specs, truth, wire: str) -> dict:
+def _cluster_leg(model, dataset, exea_config, specs, truth) -> dict:
     """Fan the same mutation log through a real subprocess cluster."""
     config = ServiceConfig(max_batch_size=32, num_workers=2)
     start = time.perf_counter()
@@ -225,8 +225,6 @@ def _cluster_leg(model, dataset, exea_config, specs, truth, wire: str) -> dict:
         num_replicas=2,
         service_config=config,
         exea_config=exea_config,
-        wire=wire,
-        mux=(wire == "binary"),
     ) as cluster:
         client = cluster.client
         for pair in truth:  # warm the remote caches pre-churn
@@ -239,7 +237,6 @@ def _cluster_leg(model, dataset, exea_config, specs, truth, wire: str) -> dict:
             and client.confidence(*pair) == confidence
         )
     return {
-        "wire": wire,
         "seconds": time.perf_counter() - start,
         "mutations": len(reports),
         "final_seq": reports[-1]["seq"] if reports else 0,
@@ -301,10 +298,7 @@ def test_mutation_churn(benchmark, quick):
         matching_wholesale = sum(
             1 for pair in unique_pairs if wholesale["final"][pair] == truth[pair]
         )
-        cluster_rows = [
-            _cluster_leg(model, dataset, exea_config, headline["specs"], truth, wire)
-            for wire in ("json", "binary")
-        ]
+        cluster = _cluster_leg(model, dataset, exea_config, headline["specs"], truth)
         return {
             "workload": "ZH-EN-live",
             "model": model.name,
@@ -333,7 +327,7 @@ def test_mutation_churn(benchmark, quick):
             "pairs_with_identical_results": matching,
             "pairs_with_identical_results_wholesale": matching_wholesale,
             "write_rate_sweep": sweep,
-            "cluster": cluster_rows,
+            "cluster": cluster,
         }
 
     row = run_once(benchmark, measure)
@@ -346,21 +340,20 @@ def test_mutation_churn(benchmark, quick):
         f"ratio {ratio if ratio == float('inf') else round(ratio, 1)}x; "
         f"{row['pairs_with_identical_results']}/{row['num_unique_pairs']} identical to cold rebuild"
     )
-    for leg in row["cluster"]:
-        print(
-            f"[mutation-churn] cluster {leg['wire']}: seq {leg['final_seq']} on "
-            f">= {leg['replicas_applied']} replicas, "
-            f"{leg['pairs_with_identical_results']}/{row['num_unique_pairs']} identical "
-            f"({leg['seconds']:.1f}s)"
-        )
+    leg = row["cluster"]
+    print(
+        f"[mutation-churn] cluster: seq {leg['final_seq']} on "
+        f">= {leg['replicas_applied']} replicas, "
+        f"{leg['pairs_with_identical_results']}/{row['num_unique_pairs']} identical "
+        f"({leg['seconds']:.1f}s)"
+    )
 
     # Hard invariants at any speed: churn must not change a result bit,
-    # in process or through the cluster on either codec.
+    # in process or through the cluster.
     assert row["pairs_with_identical_results"] == row["num_unique_pairs"]
     assert row["pairs_with_identical_results_wholesale"] == row["num_unique_pairs"]
-    for leg in row["cluster"]:
-        assert leg["pairs_with_identical_results"] == row["num_unique_pairs"]
-        assert leg["replicas_applied"] == 4
+    assert leg["pairs_with_identical_results"] == row["num_unique_pairs"]
+    assert leg["replicas_applied"] == 4
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     row.pop("truth", None)

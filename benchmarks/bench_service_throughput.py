@@ -14,14 +14,13 @@ Two measurements, both on the ZH-EN second-order workload:
   (``ServiceConfig(scheduler="per-worker")``), cold and warm, best of
   ``REPEATS`` runs each.  Results must be bit-identical across modes and
   the dispatcher must win on both cold and warm replays.
-* ``test_service_remote_vs_inprocess`` — the PR-4/PR-6 transport row: the
-  same replay served by the in-process sharded service vs a
-  process-per-shard cluster (one-replica ``ReplicatedLocalCluster``: real
+* ``test_service_remote_vs_inprocess`` — the transport row: the same
+  replay served by the in-process sharded service vs a process-per-shard
+  cluster (one-replica ``ReplicatedLocalCluster``: real
   ``python -m repro.service serve`` subprocesses fed a pickled snapshot
-  of the same model) at the same shard count, measured under BOTH wires: the v1 JSON/pooled transport
-  and the v2 binary/multiplexed one.  Results must be bit-identical
-  across transports and codecs; the PR-6 acceptance bar is the warm
-  binary+mux replay sustaining >= 5x the v1 JSON throughput.
+  of the same model) at the same shard count, over the one wire (binary
+  frames on pooled sockets).  Results must be bit-identical across the
+  process boundary.
 * ``test_service_cluster_failover`` — the PR-5 control-plane row: the
   replay served by a replicated cluster (2 shards x 2 replica
   subprocesses, health-checked, load-aware routing), then repeated while
@@ -290,43 +289,24 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
             local_explains = {pair: client.explain(*pair) for pair in unique_pairs}
             local_confidences = {pair: client.confidence(*pair) for pair in unique_pairs}
 
-        # Remote: one real server subprocess per shard (one replica each), same model bytes
-        # (pickled snapshot), same CRC-32 routing, traffic over TCP —
-        # once per wire: the v1 JSON/pooled transport, then the v2
-        # binary/multiplexed transport against the same server build.
-        per_wire = {}
-        for label, transport in (
-            ("json", {"wire": "json", "mux": False}),
-            ("binary", {"wire": "binary", "mux": True}),
-        ):
-            with ReplicatedLocalCluster(
-                model, dataset, num_shards=num_shards, num_replicas=1, service_config=config,
-                exea_config=exea_config, **transport,
-            ) as cluster:
-                cold = replay_concurrently(cluster.client, workload, NUM_CLIENTS)
-                warm = replay_concurrently(cluster.client, workload, NUM_CLIENTS)
-                explains = cluster.client.explain_many(unique_pairs)
-                confidences = {
-                    pair: cluster.client.confidence(*pair) for pair in unique_pairs
-                }
-                wire_bytes = cluster.client.wire_snapshot()["overall"]
-            matching = sum(
-                1
-                for pair in unique_pairs
-                if explains[pair] == local_explains[pair]
-                and confidences[pair] == local_confidences[pair]
-            )
-            per_wire[label] = {
-                "cold_seconds": cold,
-                "warm_seconds": warm,
-                "cold_rps": len(workload) / cold,
-                "warm_rps": len(workload) / warm,
-                "bytes_sent": wire_bytes["bytes_sent"],
-                "bytes_received": wire_bytes["bytes_received"],
-                "pairs_with_identical_results": matching,
-            }
-
-        json_row, binary_row = per_wire["json"], per_wire["binary"]
+        # Remote: one real server subprocess per shard (one replica each),
+        # same model bytes (pickled snapshot), same CRC-32 routing,
+        # traffic over TCP.
+        with ReplicatedLocalCluster(
+            model, dataset, num_shards=num_shards, num_replicas=1, service_config=config,
+            exea_config=exea_config,
+        ) as cluster:
+            remote_cold = replay_concurrently(cluster.client, workload, NUM_CLIENTS)
+            remote_warm = replay_concurrently(cluster.client, workload, NUM_CLIENTS)
+            explains = cluster.client.explain_many(unique_pairs)
+            confidences = {pair: cluster.client.confidence(*pair) for pair in unique_pairs}
+            wire_bytes = cluster.client.wire_snapshot()["overall"]
+        matching = sum(
+            1
+            for pair in unique_pairs
+            if explains[pair] == local_explains[pair]
+            and confidences[pair] == local_confidences[pair]
+        )
         return {
             "workload": "ZH-EN-remote",
             "max_hops": MAX_HOPS,
@@ -341,25 +321,15 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
             "inprocess_warm_seconds": local_warm,
             "inprocess_cold_rps": len(workload) / local_cold,
             "inprocess_warm_rps": len(workload) / local_warm,
-            # The current default transport (binary + mux) keeps the
-            # historic remote_* keys so the row stays comparable over time.
-            "remote_cold_seconds": binary_row["cold_seconds"],
-            "remote_warm_seconds": binary_row["warm_seconds"],
-            "remote_cold_rps": binary_row["cold_rps"],
-            "remote_warm_rps": binary_row["warm_rps"],
-            "remote_vs_inprocess_cold": local_cold / max(binary_row["cold_seconds"], 1e-12),
-            "remote_vs_inprocess_warm": local_warm / max(binary_row["warm_seconds"], 1e-12),
-            "wire": per_wire,
-            "binary_vs_json_cold_speedup": (
-                json_row["cold_seconds"] / max(binary_row["cold_seconds"], 1e-12)
-            ),
-            "binary_vs_json_warm_speedup": (
-                json_row["warm_seconds"] / max(binary_row["warm_seconds"], 1e-12)
-            ),
-            "pairs_with_identical_results": min(
-                json_row["pairs_with_identical_results"],
-                binary_row["pairs_with_identical_results"],
-            ),
+            "remote_cold_seconds": remote_cold,
+            "remote_warm_seconds": remote_warm,
+            "remote_cold_rps": len(workload) / remote_cold,
+            "remote_warm_rps": len(workload) / remote_warm,
+            "remote_vs_inprocess_cold": local_cold / max(remote_cold, 1e-12),
+            "remote_vs_inprocess_warm": local_warm / max(remote_warm, 1e-12),
+            "remote_bytes_sent": wire_bytes["bytes_sent"],
+            "remote_bytes_received": wire_bytes["bytes_received"],
+            "pairs_with_identical_results": matching,
         }
 
     row = run_once(benchmark, measure)
@@ -367,27 +337,19 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
     print(
         f"[service-remote] in-process cold {row['inprocess_cold_rps']:.0f} req/s / "
         f"warm {row['inprocess_warm_rps']:.0f} req/s; "
-        f"json cold {row['wire']['json']['cold_rps']:.0f} req/s / "
-        f"warm {row['wire']['json']['warm_rps']:.0f} req/s; "
-        f"binary cold {row['wire']['binary']['cold_rps']:.0f} req/s / "
-        f"warm {row['wire']['binary']['warm_rps']:.0f} req/s "
-        f"(binary/json cold {row['binary_vs_json_cold_speedup']:.2f}x, "
-        f"warm {row['binary_vs_json_warm_speedup']:.2f}x; "
-        f"{row['pairs_with_identical_results']}/{row['num_unique_pairs']} identical)"
+        f"remote cold {row['remote_cold_rps']:.0f} req/s / "
+        f"warm {row['remote_warm_rps']:.0f} req/s "
+        f"({row['pairs_with_identical_results']}/{row['num_unique_pairs']} identical)"
     )
 
-    # The hard invariant at any speed: neither the process boundary nor
-    # the codec choice may change a single result bit.
+    # The hard invariant at any speed: the process boundary may not
+    # change a single result bit.
     assert row["pairs_with_identical_results"] == row["num_unique_pairs"]
     record_fresh_row(row["workload"], row, quick)
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     _write_row(row["workload"], row)
-    # Absolute localhost TCP timings are too machine-dependent to assert
-    # on, but the codecs race each other on the same machine in the same
-    # run: the binary+mux transport must serve the warm replay at >= 5x
-    # the v1 JSON/pooled throughput.
-    assert row["binary_vs_json_warm_speedup"] >= 5.0
+    # Absolute localhost TCP timings are too machine-dependent to assert on.
     assert row["remote_cold_rps"] > 0 and row["remote_warm_rps"] > 0
 
 

@@ -1,15 +1,14 @@
-"""Micro-benchmark: binary wire v2 codec vs the v1 JSON codec.
+"""Micro-benchmark: the binary wire v2 codec, plain and blob paths.
 
 Measures the codec work alone (no sockets, no service): a realistic
 batch-response frame of ZH-EN explanation results is encoded and decoded
-under both wires, plus the blob paths the warm replay actually runs —
+in full, and through the blob paths the warm replay actually runs —
 server-side splicing of pre-encoded results and client-side cached blob
-decoding.  Three figures per codec/path:
+decoding.  Three figures per path:
 
 * ``encode_us_per_frame`` / ``decode_us_per_frame`` — best-of-``REPEATS``
   mean microseconds over ``ITERATIONS`` passes;
-* ``frame_bytes`` — the encoded body size (the binary column shows what
-  string interning buys on URI-heavy payloads).
+* ``frame_bytes`` — the encoded body size.
 
 The workload mirrors the warm remote replay: ``BATCH`` results drawn
 Zipf-style from a small set of hot explanation payloads, so the blob
@@ -29,9 +28,7 @@ from conftest import run_once
 from repro.core import ExEA, ExEAConfig, ExplanationConfig
 from repro.datasets import replay_workload
 from repro.experiments import run_metadata, sample_correct_pairs
-from repro.service.transport import decode_binary, encode_binary
-from repro.service.transport.protocol import OP_EXPLAIN, encode_value
-from repro.service.transport.wire import encode_binary_value
+from repro.service.transport import decode_binary, encode_binary, encode_binary_value
 
 ARTIFACT = Path(__file__).parent / "BENCH_wire.json"
 
@@ -79,7 +76,6 @@ def test_wire_codec(benchmark, dataset_cache, model_cache, bench_scale, quick):
     }
     results = [explanations[(source, target)] for _, source, target in workload]
 
-    json_payload = {"results": [{"ok": encode_value(OP_EXPLAIN, item)} for item in results]}
     raw_payload = {"results": [{"ok": item} for item in results]}
     blobs = {pair: encode_binary_value(item) for pair, item in explanations.items()}
     blob_payload = {
@@ -87,7 +83,6 @@ def test_wire_codec(benchmark, dataset_cache, model_cache, bench_scale, quick):
     }
 
     def measure():
-        json_body = json.dumps(json_payload, separators=(",", ":"), sort_keys=True).encode()
         binary_body = encode_binary(raw_payload)
         spliced_body = encode_binary(blob_payload)
         decode_cache: dict = {}
@@ -101,19 +96,6 @@ def test_wire_codec(benchmark, dataset_cache, model_cache, bench_scale, quick):
             "unique_results": len(explanations),
             "iterations": iterations,
             "repeats": repeats,
-            "json": {
-                "frame_bytes": len(json_body),
-                "encode_us_per_frame": _measure_us(
-                    lambda: json.dumps(
-                        json_payload, separators=(",", ":"), sort_keys=True
-                    ).encode(),
-                    iterations,
-                    repeats,
-                ),
-                "decode_us_per_frame": _measure_us(
-                    lambda: json.loads(json_body), iterations, repeats
-                ),
-            },
             "binary": {
                 "frame_bytes": len(binary_body),
                 "encode_us_per_frame": _measure_us(
@@ -137,13 +119,12 @@ def test_wire_codec(benchmark, dataset_cache, model_cache, bench_scale, quick):
                 ),
             },
         }
-        row["binary_vs_json_bytes"] = row["json"]["frame_bytes"] / row["binary"]["frame_bytes"]
-        row["spliced_vs_json_encode"] = (
-            row["json"]["encode_us_per_frame"]
+        row["spliced_vs_plain_encode"] = (
+            row["binary"]["encode_us_per_frame"]
             / max(row["binary_spliced"]["encode_us_per_frame"], 1e-9)
         )
-        row["cached_vs_json_decode"] = (
-            row["json"]["decode_us_per_frame"]
+        row["cached_vs_plain_decode"] = (
+            row["binary"]["decode_us_per_frame"]
             / max(row["binary_spliced"]["decode_us_per_frame"], 1e-9)
         )
         return row
@@ -151,19 +132,18 @@ def test_wire_codec(benchmark, dataset_cache, model_cache, bench_scale, quick):
     row = run_once(benchmark, measure)
     print()
     print(
-        f"[wire] {row['batch']}-result frame: json {row['json']['frame_bytes']} B, "
-        f"binary {row['binary']['frame_bytes']} B ({row['binary_vs_json_bytes']:.1f}x smaller); "
-        f"encode json {row['json']['encode_us_per_frame']:.0f} us vs "
+        f"[wire] {row['batch']}-result frame: {row['binary']['frame_bytes']} B; "
+        f"encode {row['binary']['encode_us_per_frame']:.0f} us vs "
         f"spliced {row['binary_spliced']['encode_us_per_frame']:.0f} us "
-        f"({row['spliced_vs_json_encode']:.1f}x); "
-        f"decode json {row['json']['decode_us_per_frame']:.0f} us vs "
+        f"({row['spliced_vs_plain_encode']:.1f}x); "
+        f"decode {row['binary']['decode_us_per_frame']:.0f} us vs "
         f"cached {row['binary_spliced']['decode_us_per_frame']:.0f} us "
-        f"({row['cached_vs_json_decode']:.1f}x)"
+        f"({row['cached_vs_plain_decode']:.1f}x)"
     )
 
-    # Correctness at any speed: both codecs round-trip the same payload.
-    _, decoded = decode_binary(encode_binary(raw_payload))
-    assert len(decoded["results"]) == batch
+    # Correctness at any speed: both paths round-trip the same results.
+    assert [slot["ok"] for slot in decode_binary(encode_binary(raw_payload))["results"]] == results
+    assert [slot["ok"] for slot in decode_binary(encode_binary(blob_payload))["results"]] == results
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     ARTIFACT.write_text(
@@ -171,11 +151,9 @@ def test_wire_codec(benchmark, dataset_cache, model_cache, bench_scale, quick):
             {row["workload"]: {**row, "meta": run_metadata()}}, indent=2, sort_keys=True
         )
     )
-    # Interning must shrink the URI-heavy frame, and the warm blob paths
-    # must beat the JSON codec on both directions.
-    assert row["binary_vs_json_bytes"] > 1.5
-    assert row["spliced_vs_json_encode"] > 1.0
-    assert row["cached_vs_json_decode"] > 1.0
+    # The warm blob paths must beat the full codec pass in both directions.
+    assert row["spliced_vs_plain_encode"] > 1.0
+    assert row["cached_vs_plain_decode"] > 1.0
 
 
 if __name__ == "__main__":

@@ -25,14 +25,13 @@ ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
   :func:`merge_stats` / :func:`merge_raw` for overall-across-shards
   reporting.
 * :mod:`~repro.service.observability` — the tracing/metrics plane:
-  :class:`TraceContext` propagation through every layer and both wire
-  codecs, per-process :class:`Span` rings stitched fleet-wide by
+  :class:`TraceContext` propagation through every layer and the wire, per-process :class:`Span` rings stitched fleet-wide by
   :func:`stitch_trace`, log-bucketed per-stage histograms, the
   slow-request log, and the :func:`prometheus_text` exporter.
 * :mod:`~repro.service.transport` — the process boundary:
   :class:`ShardServer` hosts one shard group per server process behind
-  length-prefixed JSON or binary frames, and :class:`RemoteShardClient`
-  is the channel to one such server.
+  length-prefixed binary frames, and :class:`RemoteShardClient` is the
+  channel to one such server.
 * :mod:`~repro.service.cluster` — the control plane over that transport:
   a declarative :class:`ClusterTopology` (shard → replica endpoints +
   weights), :class:`ClusterManager` health checking with a
@@ -97,16 +96,7 @@ from .service import (
 )
 from .sharding import ShardedExEAClient, ShardedExplanationService, ShardRouter
 from .stats import ServiceStats, WireCounters, imbalance_summary, merge_raw, merge_stats
-from .transport import (
-    SUPPORTED_WIRES,
-    WIRE_AUTO,
-    WIRE_BINARY,
-    WIRE_JSON,
-    MuxConnection,
-    RemoteShardClient,
-    ShardServer,
-    default_wire,
-)
+from .transport import RemoteShardClient, ShardServer
 from .worker import MicroBatchWorkerPool, WorkerPool
 
 __all__ = [
@@ -122,7 +112,6 @@ __all__ = [
     "MicroBatchWorkerPool",
     "MicroBatcher",
     "MutationSpec",
-    "MuxConnection",
     "RebalanceConfig",
     "RemoteOperationError",
     "ReplicaBehindError",
@@ -137,7 +126,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ServiceOverloadedError",
-    "SUPPORTED_WIRES",
     "ServiceRequest",
     "ServiceStats",
     "ShardRouter",
@@ -151,12 +139,8 @@ __all__ = [
     "WeightConfig",
     "WeightController",
     "VERIFY",
-    "WIRE_AUTO",
-    "WIRE_BINARY",
-    "WIRE_JSON",
     "WireCounters",
     "WorkerPool",
-    "default_wire",
     "imbalance_summary",
     "load_topology",
     "merge_raw",

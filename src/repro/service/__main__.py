@@ -51,7 +51,7 @@ snapshot (overall + per-shard rows) for machine consumption and
 ``--metrics-out PATH`` writes the same telemetry in Prometheus text
 format.  Replays are deterministic (seeded Zipf traffic over the model's
 predicted pairs) and results are bit-identical across ``--shards`` /
-``--scheduler`` / transport choices.
+``--scheduler`` choices and the in-process/remote boundary.
 """
 
 from __future__ import annotations
@@ -89,13 +89,7 @@ from .observability import (
 )
 from .service import CONFIDENCE, EXPLAIN, VERIFY, ExEAClient, replay_concurrently
 from .sharding import ShardedExplanationService
-from .transport import (
-    DEFAULT_MAX_FRAME_BYTES,
-    SUPPORTED_WIRES,
-    WIRE_AUTO,
-    ShardServer,
-    read_snapshot,
-)
+from .transport import DEFAULT_MAX_FRAME_BYTES, ShardServer, read_snapshot
 
 SUBCOMMANDS = ("replay", "serve", "cluster", "metrics", "doctor")
 
@@ -213,25 +207,8 @@ def _topology(args: argparse.Namespace, prog: str) -> ClusterTopology | None:
     return load_topology(args.topology)
 
 
-def _add_client_wire_arguments(parser: argparse.ArgumentParser) -> None:
-    """Client-side codec/transport preference shared by ``cluster``/``metrics``/``doctor``."""
-    parser.add_argument(
-        "--wire",
-        default=None,
-        choices=[WIRE_AUTO, *SUPPORTED_WIRES],
-        help=(
-            "wire codec preference: auto negotiates binary when the servers "
-            "support it (the default, also via REPRO_WIRE), json/binary pin one"
-        ),
-    )
-    parser.add_argument(
-        "--no-mux",
-        dest="mux",
-        action="store_const",
-        const=False,
-        default=None,
-        help="use the pooled connection-per-request transport even if servers support mux",
-    )
+def _add_client_sampling_arguments(parser: argparse.ArgumentParser) -> None:
+    """Client-side trace sampling shared by ``cluster``/``metrics``/``doctor``."""
     parser.add_argument(
         "--trace-sample-rate",
         type=float,
@@ -312,13 +289,9 @@ def _tail_sampler(args: argparse.Namespace) -> TailSampler | None:
     return TailSampler(config)
 
 
-def _client_transport_kwargs(args: argparse.Namespace) -> dict:
-    """``wire=``/``mux=``/sampling kwargs for remote clients from the CLI flags."""
-    kwargs = {
-        "wire": args.wire,
-        "mux": args.mux,
-        "trace_sample_rate": args.trace_sample_rate,
-    }
+def _client_sampling_kwargs(args: argparse.Namespace) -> dict:
+    """Trace-sampling kwargs for remote clients from the CLI flags."""
+    kwargs: dict = {"trace_sample_rate": args.trace_sample_rate}
     sampler = _tail_sampler(args)
     if sampler is not None:
         kwargs["tail_sampler"] = sampler
@@ -475,18 +448,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="largest accepted request/response frame, in KiB",
     )
     parser.add_argument(
-        "--wire",
-        default="both",
-        choices=["both", *SUPPORTED_WIRES],
-        help="wire codecs this server accepts (default: both; clients negotiate down)",
-    )
-    parser.add_argument(
-        "--no-mux",
-        dest="mux",
-        action="store_false",
-        help="disable multiplexed (request-id-tagged) dispatch; serve frames serially",
-    )
-    parser.add_argument(
         "--lease-ttl",
         type=float,
         default=None,
@@ -525,7 +486,6 @@ def serve_main(argv: list[str]) -> int:
     from .service import ExplanationService
 
     service = ExplanationService(model, dataset, config, exea_config=exea_config)
-    wires = tuple(SUPPORTED_WIRES) if args.wire == "both" else (args.wire,)
     server_kwargs = {}
     if args.lease_ttl is not None:
         server_kwargs["lease_ttl"] = args.lease_ttl
@@ -534,8 +494,6 @@ def serve_main(argv: list[str]) -> int:
         shard_id=args.shard_id,
         num_shards=args.num_shards,
         max_frame_bytes=args.max_frame_kb * 1024,
-        wires=wires,
-        mux=args.mux,
         **server_kwargs,
     )
     address = server.bind(args.listen)
@@ -546,8 +504,6 @@ def serve_main(argv: list[str]) -> int:
         "address": address,
         "dataset": dataset.name,
         "model": model.name,
-        "wires": list(wires),
-        "mux": args.mux,
     }
     print("READY " + json.dumps(ready, sort_keys=True), flush=True)
     try:
@@ -574,7 +530,7 @@ def build_cluster_parser() -> argparse.ArgumentParser:
     )
     _add_addressing_arguments(parser)
     _add_traffic_arguments(parser)
-    _add_client_wire_arguments(parser)
+    _add_client_sampling_arguments(parser)
     _add_slo_arguments(parser)
     parser.add_argument("--seed", type=int, default=1, help="traffic seed")
     parser.add_argument("--timeout", type=float, default=60.0, help="per-request socket timeout (s)")
@@ -651,7 +607,7 @@ def cluster_main(argv: list[str]) -> int:
         if args.rebalance
         else None,
     )
-    client_kwargs = _client_transport_kwargs(args)
+    client_kwargs = _client_sampling_kwargs(args)
     objectives = _resolve_slo_objectives(args)
     if objectives:
         client_kwargs["slo_objectives"] = objectives
@@ -666,14 +622,12 @@ def cluster_main(argv: list[str]) -> int:
         )
         elapsed = replay_concurrently(client, workload, args.clients)
         stats = client.stats_snapshot()
-        transport = client.negotiated_transport()
         if args.shutdown:
             client.shutdown_servers()
         manager.stop()
 
     report = {
         "transport": "cluster",
-        "wire": transport,
         "topology": topology.to_dict(),
         "num_requests": len(workload),
         "num_clients": args.clients,
@@ -703,7 +657,7 @@ def build_metrics_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_addressing_arguments(parser)
-    _add_client_wire_arguments(parser)
+    _add_client_sampling_arguments(parser)
     parser.add_argument("--timeout", type=float, default=10.0, help="per-request socket timeout (s)")
     parser.add_argument("--out", default=None, help="also write the exposition text here")
     parser.add_argument(
@@ -753,7 +707,7 @@ def _build_scrape_client(args: argparse.Namespace, prog: str) -> ClusterClient |
     topology = _topology(args, prog)
     if topology is None:
         return None
-    return ClusterClient(topology, timeout=args.timeout, **_client_transport_kwargs(args))
+    return ClusterClient(topology, timeout=args.timeout, **_client_sampling_kwargs(args))
 
 
 def metrics_main(argv: list[str]) -> int:
@@ -802,7 +756,7 @@ def build_doctor_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_addressing_arguments(parser)
-    _add_client_wire_arguments(parser)
+    _add_client_sampling_arguments(parser)
     _add_slo_arguments(parser)
     parser.add_argument("--timeout", type=float, default=10.0, help="per-request socket timeout (s)")
     parser.add_argument(

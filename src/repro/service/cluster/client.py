@@ -223,11 +223,8 @@ class ClusterClient:
     (owned and stopped by this client); pass one explicitly to share a
     control plane across clients or to tune detection.  The client is
     thread-safe: concurrent callers share the per-endpoint connections
-    and load accounting.  ``wire``/``mux`` pass through to every
-    replica's :class:`RemoteShardClient` (negotiated per endpoint, so a
-    mixed-version cluster upgrades only the replicas that can).
-    Construction pings every replica and refuses a miswired cluster
-    (:meth:`check_topology`).
+    and load accounting.  Construction pings every replica and refuses a
+    miswired cluster (:meth:`check_topology`).
     """
 
     def __init__(
@@ -237,8 +234,6 @@ class ClusterClient:
         timeout: float = DEFAULT_TIMEOUT,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         check_topology: bool = True,
-        wire: str | None = None,
-        mux: bool | None = None,
         trace_sample_rate: float = 1.0,
         sample_seed: int | None = None,
         tail_sampler=None,
@@ -288,11 +283,7 @@ class ClusterClient:
         self._slo_lock = threading.Lock()
         self._clients = {
             endpoint: RemoteShardClient(
-                endpoint,
-                timeout=timeout,
-                max_frame_bytes=max_frame_bytes,
-                wire=wire,
-                mux=mux,
+                endpoint, timeout=timeout, max_frame_bytes=max_frame_bytes
             )
             for endpoint in topology.endpoints()
         }
@@ -598,9 +589,8 @@ class ClusterClient:
     ) -> "tuple[object, TraceContext]":
         """Run one traced remote operation; returns ``(result, trace_context)``.
 
-        Mints a root :class:`TraceContext` and sends it with the request
-        (each endpoint's client negotiates whether its peer understands
-        the field); the serving process records its stage spans under the
+        Mints a root :class:`TraceContext` and sends it with the request;
+        the serving process records its stage spans under the
         trace, and the enveloping ``client_send`` span — request out to
         result in, wire time and failovers included — lands in this
         client's own ring.  Feed the context's ``trace_id`` to
@@ -697,9 +687,9 @@ class ClusterClient:
 
         A traced request's server spans live in whichever replica served
         it (which failover may have changed mid-request), so the pull
-        must cover them all.  Unreachable replicas and peers that predate
-        tracing contribute nothing — a timeline must stay readable
-        mid-outage, which is exactly when it is wanted.
+        must cover them all.  Unreachable replicas contribute nothing — a
+        timeline must stay readable mid-outage, which is exactly when it
+        is wanted.
         """
         spans: list[Span] = []
         for endpoint in self.topology.endpoints():
@@ -1054,15 +1044,6 @@ class ClusterClient:
                 budget_remaining=event.get("budget_remaining"),
             )
         return {"objectives": evaluations, "alerts": alerts}
-
-    def negotiated_transport(self) -> dict:
-        """Codec and connection mode in use, as the first reachable endpoint negotiated it."""
-        for endpoint in self.topology.endpoints():
-            try:
-                return self._clients[endpoint].negotiated_transport()
-            except RemoteTransportError:
-                continue
-        raise RemoteTransportError("no endpoint of the cluster is reachable")
 
     def wire_snapshot(self) -> dict:
         """Client-side wire telemetry, overall and per replica endpoint."""

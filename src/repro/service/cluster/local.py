@@ -91,9 +91,6 @@ class ReplicatedLocalCluster:
         client_timeout: float = 60.0,
         probe_interval: float = DEFAULT_PROBE_INTERVAL,
         miss_threshold: int = DEFAULT_MISS_THRESHOLD,
-        wire: str | None = None,
-        mux: bool | None = None,
-        server_wire: str | None = None,
         probe_timeout: float = 5.0,
         stats_every: int = DEFAULT_STATS_EVERY,
         lease_ttl: float | None = None,
@@ -114,11 +111,6 @@ class ReplicatedLocalCluster:
         self.exea_config = exea_config
         self.startup_timeout = startup_timeout
         self.client_timeout = client_timeout
-        #: client codec/transport preference (None = negotiate / env default)
-        self.wire = wire
-        self.mux = mux
-        #: restrict the spawned servers' codecs (``--wire``; None = both)
-        self.server_wire = server_wire
         self.probe_interval = probe_interval
         self.miss_threshold = miss_threshold
         self.probe_timeout = probe_timeout
@@ -167,8 +159,6 @@ class ReplicatedLocalCluster:
             "--listen",
             "127.0.0.1:0",
         ]
-        if self.server_wire is not None:
-            command += ["--wire", self.server_wire]
         return subprocess.Popen(command, stdout=subprocess.PIPE, env=env)
 
     @staticmethod
@@ -223,8 +213,6 @@ class ReplicatedLocalCluster:
                 self.topology,
                 manager=self.manager,
                 timeout=self.client_timeout,
-                wire=self.wire,
-                mux=self.mux,
             )
         except BaseException:
             # Tear down whatever came up, including spawned processes that

@@ -6,7 +6,7 @@ objectives, and which traces explain it when it is not":
 
 * :mod:`~repro.service.observability.context` — the
   :class:`TraceContext` minted at a client facade and propagated through
-  the dispatcher, shard routing and both wire codecs.
+  the dispatcher, shard routing and the wire.
 * :mod:`~repro.service.observability.spans` — per-stage :class:`Span`
   records in bounded per-process rings (with pin-against-eviction for
   tail-sampled keeps), the slow-request log, and :func:`stitch_trace`

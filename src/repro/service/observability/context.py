@@ -1,18 +1,16 @@
 """Trace context: the per-request identity that crosses every layer.
 
 A :class:`TraceContext` is minted at a client facade (``new_trace``) and
-rides the request through the dispatcher, shard routing and both wire
-codecs.  It is deliberately tiny — three ids and a sampling flag — so
+rides the request through the dispatcher, shard routing and the wire.
+It is deliberately tiny — three ids and a sampling flag — so
 propagating it costs a few string references on the hot path and nothing
 at all when a request is untraced (the context is simply ``None``).
 
-Wire form: a 4-element JSON-safe list ``[trace_id, span_id,
-parent_span_id, sampled]`` (empty string encodes a missing parent).  The
-JSON v1 protocol carries it under an optional ``"trace"`` request key;
-the binary v2 codec has a dedicated TLV tag
-(:data:`~repro.service.transport.wire._TAG_TRACE`) that encodes the same
-four fields natively.  Both are negotiated like ``mux`` via the JSON
-ping, so peers that predate tracing never see the field.
+On the wire it rides under an optional ``"trace"`` request key, encoded
+natively by the binary codec's trace tag
+(:data:`~repro.service.transport.wire._TAG_TRACE`).  Its JSON-safe form
+is a 4-element list ``[trace_id, span_id, parent_span_id, sampled]``
+(empty string encodes a missing parent).
 """
 
 from __future__ import annotations

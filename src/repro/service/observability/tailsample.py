@@ -17,8 +17,7 @@ interesting:
 
 Kept traces are *pinned*: the client ring pins them locally and fans the
 ``trace`` wire op out with ``pin: true`` so every server-side ring moves
-the trace's spans out of eviction reach (old servers ignore the unknown
-key — version-skew safe, nothing on the wire trace form changes).
+the trace's spans out of eviction reach.
 Dropped traces are left to ring eviction — the span ring *is* the
 pending buffer, so recycling them costs nothing, while an eager purge
 would cost O(ring) on every fast request.

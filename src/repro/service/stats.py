@@ -17,11 +17,7 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
-from .observability.metrics import (
-    MetricsRegistry,
-    merge_histogram_raw,
-    summarize_histogram_raw,
-)
+from .observability.metrics import MetricsRegistry, summarize_histogram_raw
 
 
 class WireCounters:
@@ -31,9 +27,9 @@ class WireCounters:
     server's accept loop) keep one of these per peer plus one aggregate:
     bytes and frames in each direction, and the nanoseconds spent inside
     the codec (encode before send, decode after receive).  The split is
-    what makes a codec regression observable in production: a JSON peer
-    shows up as more bytes *and* more codec time for the same frame
-    counts, without rerunning a benchmark.
+    what makes a codec regression observable in production: it shows up
+    as more bytes or more codec time for the same frame counts, without
+    rerunning a benchmark.
     """
 
     __slots__ = (

@@ -1,10 +1,11 @@
-"""Length-prefixed JSON framing over stream sockets.
+"""Length-prefixed framing over stream sockets.
 
 The wire format is deliberately minimal: every message is one *frame* —
 a 4-byte big-endian unsigned length prefix followed by exactly that many
-bytes of UTF-8 JSON.  Frames are self-delimiting, so a connection can
-carry any number of request/response exchanges, and a reader always knows
-whether it is looking at a complete message.
+bytes of body, encoded by :mod:`~repro.service.transport.wire`.  Frames
+are self-delimiting, so a connection can carry any number of
+request/response exchanges, and a reader always knows whether it is
+looking at a complete message.
 
 Two failure modes get their own exception types because callers handle
 them differently:
@@ -15,7 +16,7 @@ them differently:
   peer cannot make the receiver buffer unbounded data.
 * :class:`ConnectionClosedError` — the stream ended mid-frame.  A clean
   EOF *between* frames is a normal disconnect and is reported as ``None``
-  from :func:`recv_frame` instead.
+  from :func:`recv_frame_raw` instead.
 
 Both derive from :class:`ProtocolError`, which itself derives from
 :class:`~repro.service.errors.RemoteTransportError`, so client code can
@@ -24,7 +25,6 @@ catch one service-level exception type for every transport failure.
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
 
@@ -58,29 +58,8 @@ class FrameTimeoutError(ProtocolError):
     """
 
 
-def encode_frame(payload: dict, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
-    """Serialise *payload* into one length-prefixed frame.
-
-    Raises:
-        FrameTooLargeError: the encoded payload exceeds *max_frame_bytes*.
-    """
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    if len(body) > max_frame_bytes:
-        raise FrameTooLargeError(
-            f"outgoing frame of {len(body)} bytes exceeds the {max_frame_bytes}-byte bound"
-        )
-    return _LENGTH.pack(len(body)) + body
-
-
-def send_frame(
-    sock: socket.socket, payload: dict, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> None:
-    """Encode *payload* and write the complete frame to *sock*."""
-    send_raw_frame(sock, encode_frame(payload, max_frame_bytes))
-
-
 def send_raw_frame(sock: socket.socket, frame: bytes) -> None:
-    """Write an already-encoded frame to *sock* (see :func:`encode_frame`)."""
+    """Write an already-encoded frame to *sock* (see :func:`frame_raw`)."""
     try:
         sock.sendall(frame)
     except socket.timeout as error:
@@ -119,7 +98,7 @@ def _recv_exactly(sock: socket.socket, count: int, allow_eof: bool = False) -> b
 
 
 def frame_raw(body: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
-    """Prefix an already-encoded *body* (any codec) with its length.
+    """Prefix an already-encoded *body* with its length.
 
     Raises:
         FrameTooLargeError: *body* exceeds *max_frame_bytes*.
@@ -131,30 +110,13 @@ def frame_raw(body: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> by
     return _LENGTH.pack(len(body)) + body
 
 
-def decode_json_body(body: bytes) -> dict:
-    """Parse a v1 frame body (UTF-8 JSON object) into its payload dict.
-
-    Raises:
-        ProtocolError: the body is not a JSON object.
-    """
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"frame payload is not valid JSON: {error}") from error
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"frame payload must be a JSON object, got {type(payload).__name__}")
-    return payload
-
-
 def recv_frame_raw(
     sock: socket.socket, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 ) -> bytes | None:
     """Read one frame body from *sock* without decoding it.
 
-    ``None`` on a clean EOF between frames.  This is the codec-agnostic
-    half of :func:`recv_frame`: the caller sniffs the first body byte to
-    pick a decoder (JSON bodies start with ``{``, binary bodies with the
-    v2 magic byte).
+    ``None`` on a clean EOF between frames; the caller decodes the body
+    with :func:`~repro.service.transport.wire.decode_binary`.
 
     Raises:
         FrameTooLargeError: the announced length exceeds *max_frame_bytes*
@@ -170,20 +132,3 @@ def recv_frame_raw(
             f"incoming frame announces {length} bytes, beyond the {max_frame_bytes}-byte bound"
         )
     return _recv_exactly(sock, length)
-
-
-def recv_frame(
-    sock: socket.socket, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> dict | None:
-    """Read one JSON frame from *sock*; ``None`` when the peer closed cleanly.
-
-    Raises:
-        FrameTooLargeError: the announced length exceeds *max_frame_bytes*
-            (the payload is not read).
-        ConnectionClosedError: EOF or a socket error mid-frame.
-        ProtocolError: the payload is not a JSON object.
-    """
-    body = recv_frame_raw(sock, max_frame_bytes)
-    if body is None:
-        return None
-    return decode_json_body(body)

@@ -1,17 +1,18 @@
-"""Wire protocol: operation names, value codec, and error mapping.
+"""Wire protocol: operation names, result values, and error mapping.
 
 Every request frame is ``{"op": <name>, ...}``; every response frame is
 either ``{"ok": <encoded value>, ...}`` or ``{"error": {"type": <name>,
 "message": <str>}}``.  The module owns the two halves that both ends must
 agree on:
 
-* **Value codec** — explain results are nested dataclasses
+* **Result values** — explain results are nested dataclasses
   (:class:`~repro.core.explanation.Explanation` → ``MatchedPath`` →
-  ``RelationPath`` → ``Triple``); :func:`encode_value` flattens them into
-  plain JSON and :func:`decode_value` rebuilds *equal* objects, so a
-  remote explain compares ``==`` (bit-identical) to the in-process result.
-  Confidence values ride as JSON numbers (Python's JSON encoder emits
-  ``repr(float)``, which round-trips the exact double), verify as booleans.
+  ``RelationPath`` → ``Triple``) that the binary codec of
+  :mod:`~repro.service.transport.wire` carries natively and rebuilds as
+  *equal* objects, so a remote explain compares ``==`` (bit-identical) to
+  the in-process result.  Confidence values ride as 8-byte doubles,
+  verify as booleans; :func:`encode_value` / :func:`decode_value` pin
+  each operation kind to its result type.
 * **Error mapping** — the service's typed errors
   (:class:`ServiceOverloadedError` backpressure,
   :class:`DeadlineExceededError`, :class:`ServiceClosedError`) cross the
@@ -24,8 +25,7 @@ agree on:
 
 from __future__ import annotations
 
-from ...core.explanation import Explanation, MatchedPath, RelationPath
-from ...kg import Triple
+from ...core.explanation import Explanation
 from ..errors import (
     DeadlineExceededError,
     RemoteOperationError,
@@ -64,14 +64,10 @@ OP_PAIRS = "pairs"
 #: Drop the shard's result cache (generation fan-out from the client).
 OP_INVALIDATE = "invalidate"
 #: Pull the server's span ring (optionally filtered to one ``trace_id``)
-#: so a client can stitch a fleet-wide per-request timeline.  Advertised
-#: via the ping ``trace`` capability; peers that predate tracing reject
-#: it like any unknown op.
+#: so a client can stitch a fleet-wide per-request timeline.
 OP_TRACE = "trace"
 #: Apply an ordered batch of KG mutations (blast-radius scoped cache
-#: invalidation server-side).  Advertised via the ping ``mutate``
-#: capability; peers that predate the mutation plane reject it like any
-#: unknown op.
+#: invalidation server-side).
 OP_MUTATE = "mutate"
 #: Ask the server process to exit after responding.
 OP_SHUTDOWN = "shutdown"
@@ -122,117 +118,26 @@ def decode_error(payload: dict) -> Exception:
 
 
 # ----------------------------------------------------------------------
-# Value codec
+# Result values
 # ----------------------------------------------------------------------
-def _encode_triple(triple: Triple) -> list[str]:
-    return [triple.head, triple.relation, triple.tail]
-
-
-def _decode_triple(fields: list) -> Triple:
-    return Triple(fields[0], fields[1], fields[2])
-
-
-def _encode_path(path: RelationPath) -> dict:
-    return {
-        "source": path.source,
-        "target": path.target,
-        "triples": [_encode_triple(triple) for triple in path.triples],
-    }
-
-
-def _decode_path(payload: dict) -> RelationPath:
-    return RelationPath(
-        source=payload["source"],
-        target=payload["target"],
-        triples=tuple(_decode_triple(fields) for fields in payload["triples"]),
-    )
-
-
-def encode_explanation(explanation: Explanation) -> dict:
-    """Flatten an :class:`Explanation` into plain JSON types.
-
-    Candidate sets are emitted sorted so the wire form is deterministic;
-    decoding rebuilds them as sets, so equality is order-independent.
-    """
-    return {
-        "source": explanation.source,
-        "target": explanation.target,
-        "matched_paths": [
-            {
-                "path1": _encode_path(match.path1),
-                "path2": _encode_path(match.path2),
-                "similarity": match.similarity,
-            }
-            for match in explanation.matched_paths
-        ],
-        "candidate_triples1": sorted(
-            _encode_triple(triple) for triple in explanation.candidate_triples1
-        ),
-        "candidate_triples2": sorted(
-            _encode_triple(triple) for triple in explanation.candidate_triples2
-        ),
-    }
-
-
-def decode_explanation(payload: dict) -> Explanation:
-    """Rebuild an :class:`Explanation` equal to the encoded original."""
-    return Explanation(
-        source=payload["source"],
-        target=payload["target"],
-        matched_paths=[
-            MatchedPath(
-                path1=_decode_path(match["path1"]),
-                path2=_decode_path(match["path2"]),
-                similarity=match["similarity"],
-            )
-            for match in payload["matched_paths"]
-        ],
-        candidate_triples1={
-            _decode_triple(fields) for fields in payload["candidate_triples1"]
-        },
-        candidate_triples2={
-            _decode_triple(fields) for fields in payload["candidate_triples2"]
-        },
-    )
-
-
-def encode_mutations(specs: list[MutationSpec]) -> list[list]:
-    """JSON v1 wire form of a mutation batch: ``[op, kg, head, rel, tail]`` rows.
-
-    The binary v2 codec ships :class:`MutationSpec` objects natively
-    (TLV tag ``0x0E``) and never goes through this flattening.
-    """
-    return [
-        [spec.op, spec.kg, spec.triple.head, spec.triple.relation, spec.triple.tail]
-        for spec in specs
-    ]
-
-
 def decode_mutations(payload: object) -> list[MutationSpec]:
-    """Rebuild a mutation batch from either wire form.
+    """Check a mutation batch off the wire: a list of :class:`MutationSpec`.
 
-    Accepts native :class:`MutationSpec` items (binary v2) and the
-    5-element JSON rows; anything malformed raises ``ValueError`` so the
-    server answers with a typed error frame instead of dying mid-request.
+    Anything else raises ``ValueError`` so the server answers with a typed
+    error frame instead of dying mid-request.
     """
     if not isinstance(payload, list):
         raise ValueError("mutations must be a list")
-    specs: list[MutationSpec] = []
     for item in payload:
-        if isinstance(item, MutationSpec):
-            specs.append(item)
-            continue
-        if not isinstance(item, (list, tuple)) or len(item) != 5:
-            raise ValueError(f"malformed mutation row {item!r}")
-        op, kg, head, relation, tail = item
-        specs.append(MutationSpec(op=op, kg=kg, triple=Triple(head, relation, tail)))
-    return specs
+        if not isinstance(item, MutationSpec):
+            raise ValueError(f"malformed mutation {item!r}")
+    return payload
 
 
 def encode_value(kind: str, value) -> object:
-    """Encode one operation result for the wire (kind-directed)."""
+    """One operation result in the form the binary codec carries (kind-directed)."""
     if kind == OP_EXPLAIN:
-        return encode_explanation(value)
+        return value
     if kind == OP_CONFIDENCE:
         return float(value)
     if kind == OP_VERIFY:
@@ -241,16 +146,18 @@ def encode_value(kind: str, value) -> object:
 
 
 def decode_value(kind: str, payload):
-    """Decode one operation result from its wire form (kind-directed).
+    """Check one operation result off the wire against its kind.
 
-    The binary codec delivers explain results as native
-    :class:`Explanation` objects (its decoder rebuilds them directly);
-    those pass straight through.  JSON delivers the flattened dict form.
+    Raises:
+        ProtocolError: an explain result that is not an
+            :class:`Explanation`.
     """
     if kind == OP_EXPLAIN:
-        if isinstance(payload, Explanation):
-            return payload
-        return decode_explanation(payload)
+        if not isinstance(payload, Explanation):
+            raise ProtocolError(
+                f"explain result must be an Explanation, got {type(payload).__name__}"
+            )
+        return payload
     if kind == OP_CONFIDENCE:
         return float(payload)
     if kind == OP_VERIFY:

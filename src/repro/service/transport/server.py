@@ -10,23 +10,16 @@ CRC-32 :class:`~repro.service.sharding.ShardRouter` the in-process
 sharded service uses, which is what keeps remote results bit-identical to
 in-process sharded results at the same shard count.
 
-Two wire codecs coexist on every connection: each incoming frame is
-sniffed by its first body byte (JSON objects start with ``{``, binary v2
-bodies with their magic byte) and the response goes back in the same
-codec, so one server serves old JSON clients and binary v2 clients at
-once.  The ``ping`` payload advertises the supported codecs (``wires``)
-and whether correlation-id multiplexing is available (``mux``), which is
-what the client's negotiation reads.
+Every frame body is a binary v2 body
+(:mod:`~repro.service.transport.wire`).  A body that does not decode is
+answered with a ``ProtocolError`` error frame, and then the connection
+is closed.
 
-Concurrency model: requests carrying a correlation id (from multiplexed
-clients) are dispatched on their own worker thread — bounded by a
-semaphore, so a flood of ids blocks the connection's reader instead of
-spawning without limit — and responses are serialised per connection by
-a send lock, completing out of order.  Id-less requests keep the v1
-serial request/response loop.  Explain results are pre-encoded once per
-generation into binary blobs and spliced into every later response that
-needs them, so a warm replay's hot results cost a memcpy, not a codec
-pass.
+Concurrency model: one thread per connection, serving its frames one
+request/response exchange at a time (clients pool connections for
+concurrency).  Explain results are pre-encoded once per generation into
+binary blobs and spliced into every later response that needs them, so a
+warm replay's hot results cost a memcpy, not a codec pass.
 
 Service errors (backpressure, deadlines, closed) cross the wire by type
 name and are re-raised client-side as the same class.
@@ -48,8 +41,6 @@ from .framing import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameTooLargeError,
     ProtocolError,
-    decode_json_body,
-    encode_frame,
     frame_raw,
     recv_frame_raw,
 )
@@ -69,15 +60,7 @@ from .protocol import (
     encode_error,
     encode_value,
 )
-from .wire import (
-    SUPPORTED_WIRES,
-    WIRE_BINARY,
-    WIRE_JSON,
-    decode_binary,
-    encode_binary,
-    encode_binary_value,
-    is_binary_body,
-)
+from .wire import decode_binary, encode_binary, encode_binary_value
 
 #: Backoff between server-side admission retries of one ``batch`` item.
 _BATCH_RETRY_SLEEP = 0.0005
@@ -85,8 +68,6 @@ _BATCH_RETRY_SLEEP = 0.0005
 #: carries no deadline — bounds the worst case instead of spinning forever
 #: against a queue that never drains.
 _BATCH_MAX_RETRY_SECONDS = 30.0
-#: In-flight id-tagged requests per server before the reader blocks.
-_MUX_DISPATCH_LIMIT = 128
 #: Pre-encoded explain blobs kept before a wholesale cache reset.
 _ENCODE_CACHE_CAPACITY = 8192
 #: Liveness lease this server grants on every ping (seconds).  The
@@ -109,14 +90,7 @@ def parse_listen_address(listen: str) -> tuple[int, object]:
 
 
 class ShardServer:
-    """Serve one shard group's :class:`ExplanationService` over a socket.
-
-    *wires* restricts the codecs this server understands and advertises
-    (``("json",)`` simulates a v1-era JSON-only peer); *mux* gates the
-    correlation-id dispatch the same way, and *trace* gates the trace
-    capability (``trace=False`` simulates a pre-tracing peer: the ping
-    does not advertise it and the ``trace`` op is rejected as unknown).
-    """
+    """Serve one shard group's :class:`ExplanationService` over a socket."""
 
     def __init__(
         self,
@@ -124,25 +98,14 @@ class ShardServer:
         shard_id: int = 0,
         num_shards: int = 1,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        wires: tuple[str, ...] = SUPPORTED_WIRES,
-        mux: bool = True,
-        trace: bool = True,
-        mutate: bool = True,
         lease_ttl: float = DEFAULT_LEASE_TTL,
     ) -> None:
         if not 0 <= shard_id < num_shards:
             raise ValueError(f"shard_id {shard_id} out of range for {num_shards} shard(s)")
-        unknown = [wire for wire in wires if wire not in SUPPORTED_WIRES]
-        if unknown or not wires:
-            raise ValueError(f"unsupported wire codec(s) {unknown or wires!r}")
         self.service = service
         self.shard_id = shard_id
         self.num_shards = num_shards
         self.max_frame_bytes = max_frame_bytes
-        self.wires = tuple(wires)
-        self.mux = mux
-        self.trace = trace
-        self.mutate = mutate
         if lease_ttl <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl!r}")
         self.lease_ttl = lease_ttl
@@ -162,7 +125,6 @@ class ShardServer:
         self._conn_lock = threading.Lock()
         self._connections: set[socket.socket] = set()
         self._thread: threading.Thread | None = None
-        self._dispatch_slots = threading.BoundedSemaphore(_MUX_DISPATCH_LIMIT)
         #: (token, count) cache of this shard's pair-partition size
         self._pairs_cache: tuple[tuple, int] | None = None
         #: (kind, source, target) -> pre-encoded binary blob, per generation
@@ -302,41 +264,10 @@ class ShardServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    def _decode_request(self, body: bytes) -> tuple[str, int, dict]:
-        """Decode one request body into ``(wire, request_id, payload)``.
-
-        Rejects codecs this server was configured without — a JSON-only
-        server answers a binary frame with a protocol error rather than
-        guessing, which is what lets negotiation-free old peers stay
-        deterministic.
-        """
-        if is_binary_body(body):
-            if WIRE_BINARY not in self.wires:
-                raise ProtocolError(
-                    "this server speaks JSON frames only (binary wire disabled)"
-                )
-            request_id, payload = decode_binary(body)
-            return WIRE_BINARY, request_id, payload
-        if WIRE_JSON not in self.wires:
-            raise ProtocolError(
-                "this server speaks binary v2 frames only (JSON wire disabled)"
-            )
-        payload = decode_json_body(body)
-        request_id = payload.get("id", 0)
-        if not isinstance(request_id, int) or isinstance(request_id, bool) or request_id < 0:
-            request_id = 0
-        return WIRE_JSON, request_id, payload
-
     def _serve_connection(self, conn: socket.socket) -> None:
-        """One connection's read loop; closes on any protocol error.
-
-        Requests with a correlation id run on bounded worker threads and
-        answer out of order (under the connection's send lock); id-less
-        requests keep the serial exchange loop.
-        """
+        """One connection's serial exchange loop; closes on any protocol error."""
         with self._conn_lock:
             self._connections.add(conn)
-        send_lock = threading.Lock()
         wire_stats = self.service.stats.wire
         try:
             with conn:
@@ -348,26 +279,18 @@ class ShardServer:
                         if body is None:
                             return  # clean disconnect
                         started = time.perf_counter_ns()
-                        wire, request_id, request = self._decode_request(body)
+                        request = decode_binary(body)
                         decode_ns = time.perf_counter_ns() - started
                         wire_stats.record_received(4 + len(body), decode_ns)
                         self.service.stats.record_stage("wire_decode", decode_ns / 1e9)
                     except ProtocolError as error:
                         # The stream is poisoned (e.g. an oversized frame's
                         # body was never read) — report, then hang up.
-                        self._try_send(conn, send_lock, {"error": encode_error(error)}, WIRE_JSON, 0)
+                        self._try_send(conn, {"error": encode_error(error)})
                         return
                     trace = self._request_trace(request, decode_ns)
-                    if request_id and self.mux:
-                        self._dispatch_slots.acquire()
-                        threading.Thread(
-                            target=self._serve_tagged,
-                            args=(conn, send_lock, request, wire, request_id, trace),
-                            daemon=True,
-                        ).start()
-                        continue
-                    response = self._dispatch(request, wire)
-                    if not self._try_send(conn, send_lock, response, wire, request_id, trace):
+                    response = self._dispatch(request)
+                    if not self._try_send(conn, response, trace):
                         return
                     if request.get("op") == OP_SHUTDOWN:
                         self.stop()
@@ -375,24 +298,6 @@ class ShardServer:
         finally:
             with self._conn_lock:
                 self._connections.discard(conn)
-
-    def _serve_tagged(
-        self,
-        conn: socket.socket,
-        send_lock: threading.Lock,
-        request: dict,
-        wire: str,
-        request_id: int,
-        trace: TraceContext | None = None,
-    ) -> None:
-        """One id-tagged request on its own thread (out-of-order completion)."""
-        try:
-            response = self._dispatch(request, wire)
-            self._try_send(conn, send_lock, response, wire, request_id, trace)
-            if request.get("op") == OP_SHUTDOWN:
-                self.stop()
-        finally:
-            self._dispatch_slots.release()
 
     def _request_trace(self, request: dict, decode_ns: int) -> TraceContext | None:
         """Trace context carried by one request frame, recording its decode span.
@@ -418,20 +323,10 @@ class ShardServer:
             )
         return trace
 
-    def _encode_response(
-        self, payload: dict, wire: str, request_id: int, trace: TraceContext | None = None
-    ) -> bytes:
-        """Encode one response frame in the request's codec, counting time."""
+    def _encode_response(self, payload: dict, trace: TraceContext | None = None) -> bytes:
+        """Encode one response frame, counting codec time."""
         started = time.perf_counter_ns()
-        if wire == WIRE_BINARY:
-            frame = frame_raw(
-                encode_binary(payload, request_id, self.max_frame_bytes),
-                self.max_frame_bytes,
-            )
-        else:
-            if request_id:
-                payload = {**payload, "id": request_id}
-            frame = encode_frame(payload, self.max_frame_bytes)
+        frame = frame_raw(encode_binary(payload), self.max_frame_bytes)
         encode_ns = time.perf_counter_ns() - started
         self.service.stats.wire.record_sent(len(frame), encode_ns)
         self.service.stats.record_stage("wire_encode", encode_ns / 1e9)
@@ -446,13 +341,7 @@ class ShardServer:
         return frame
 
     def _try_send(
-        self,
-        conn: socket.socket,
-        send_lock: threading.Lock,
-        payload: dict,
-        wire: str,
-        request_id: int,
-        trace: TraceContext | None = None,
+        self, conn: socket.socket, payload: dict, trace: TraceContext | None = None
     ) -> bool:
         """Best-effort frame send; False when the connection is gone.
 
@@ -463,17 +352,16 @@ class ShardServer:
         connection-closed error, and the connection stays usable.
         """
         try:
-            frame = self._encode_response(payload, wire, request_id, trace)
+            frame = self._encode_response(payload, trace)
         except FrameTooLargeError as error:
             try:
-                frame = self._encode_response({"error": encode_error(error)}, wire, request_id)
+                frame = self._encode_response({"error": encode_error(error)})
             except ProtocolError:
                 return False
         except ProtocolError:
             return False
         try:
-            with send_lock:
-                conn.sendall(frame)
+            conn.sendall(frame)
             return True
         except OSError:
             return False
@@ -481,20 +369,19 @@ class ShardServer:
     # ------------------------------------------------------------------
     # Request dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self, request: dict, wire: str = WIRE_JSON) -> dict:
+    def _dispatch(self, request: dict) -> dict:
         """Map one request frame to its response frame (never raises)."""
         try:
             op = request.get("op")
-            binary = wire == WIRE_BINARY
             if op == OP_PING:
                 return {"ok": self._describe()}
             if op in REQUEST_KINDS:
                 self._check_caught_up()
-                return self._handle_single(op, request, binary)
+                return self._handle_single(op, request)
             if op == OP_BATCH:
                 self._check_caught_up()
-                return self._handle_batch(request, binary)
-            if op == OP_MUTATE and self.mutate:
+                return self._handle_batch(request)
+            if op == OP_MUTATE:
                 return self._handle_mutate(request)
             if op == OP_STATS:
                 return {"ok": self._stats_payload()}
@@ -503,7 +390,7 @@ class ShardServer:
                 return {"ok": [[source, target] for source, target in pairs]}
             if op == OP_INVALIDATE:
                 return {"ok": self._handle_invalidate()}
-            if op == OP_TRACE and self.trace:
+            if op == OP_TRACE:
                 return {"ok": self._trace_payload(request)}
             if op == OP_SHUTDOWN:
                 return {"ok": True}
@@ -517,22 +404,12 @@ class ShardServer:
         Carries the dataset/model names and the generation token so the
         client can refuse a cluster whose shards serve different data —
         matching shard ids alone would not catch two processes started
-        against different datasets or snapshots.  ``wires`` and ``mux``
-        advertise the transport capabilities the client's negotiation
-        upgrades to; ``protocol`` stays at the v1 revision because every
-        v1 exchange still works unchanged.
+        against different datasets or snapshots.
         """
         return {
             "shard_id": self.shard_id,
             "num_shards": self.num_shards,
             "protocol": PROTOCOL_VERSION,
-            "wires": list(self.wires),
-            "mux": self.mux,
-            "trace": self.trace,
-            # Tail-sampling keep fan-out: this server honours the
-            # ``pin`` flag on the trace op (rides the trace capability).
-            "pin": self.trace,
-            "mutate": self.mutate,
             "mutation_seq": self._mutation_seq,
             "dataset": self.service.dataset.name,
             "model": self.service.model.name,
@@ -570,20 +447,14 @@ class ShardServer:
             self._pairs_cache = (token, count)
         return self._pairs_cache[1]
 
-    def _result_value(self, kind: str, source: str, target: str, value, binary: bool):
+    def _result_value(self, kind: str, source: str, target: str, value):
         """One operation result in its wire form.
 
-        JSON peers get the flattened v1 form.  Binary peers get
-        confidence/verify as raw scalars and explain results as
+        Confidence/verify go as raw scalars, explain results as
         generation-scoped pre-encoded blobs: the first request for a pair
         pays one codec pass, every later response splices the same bytes
-        (and the client's decode cache recognises them), which is where
-        the warm replay's 50× JSON tax goes away.
+        (and the client's decode cache recognises them).
         """
-        if not binary:
-            return encode_value(kind, value)
-        if kind not in REQUEST_KINDS:
-            raise ValueError(f"unknown result kind {kind!r}")
         if kind != OP_EXPLAIN:
             return encode_value(kind, value)
         token = self.service.generation_token()
@@ -602,16 +473,16 @@ class ShardServer:
                     self._encode_cache[key] = blob
         return blob
 
-    def _handle_single(self, kind: str, request: dict, binary: bool = False) -> dict:
+    def _handle_single(self, kind: str, request: dict) -> dict:
         """One submit-and-wait operation (explain / confidence / verify)."""
         source, target = request["source"], request["target"]
         trace = trace_from_wire(request.get("trace"))
         future = self.service.submit(
             kind, source, target, request.get("deadline_ms"), trace=trace
         )
-        return {"ok": self._result_value(kind, source, target, future.result(), binary)}
+        return {"ok": self._result_value(kind, source, target, future.result())}
 
-    def _handle_batch(self, request: dict, binary: bool = False) -> dict:
+    def _handle_batch(self, request: dict) -> dict:
         """Submit every item before gathering — the remote batching driver.
 
         Admission control is honoured *per item*: an overloaded queue is
@@ -658,7 +529,7 @@ class ShardServer:
             try:
                 source, target = items[index][1], items[index][2]
                 slots[index] = {
-                    "ok": self._result_value(kind, source, target, future.result(), binary)
+                    "ok": self._result_value(kind, source, target, future.result())
                 }
             except BaseException as error:  # noqa: BLE001 - per-item isolation
                 slots[index] = {"error": encode_error(error)}
@@ -669,9 +540,7 @@ class ShardServer:
 
         ``pin: true`` (with a ``trace_id``) additionally pins that
         trace's spans against ring eviction — the tail sampler's
-        promote-to-keep fan-out.  Pre-pinning servers simply ignored the
-        unknown key and answered the plain pull, which is why the flag
-        rides the existing op instead of a new one (version-skew safe).
+        promote-to-keep fan-out.
         """
         trace_id = request.get("trace_id")
         trace_id = trace_id if isinstance(trace_id, str) else None

@@ -1,12 +1,7 @@
-"""Binary wire codec v2: compact tag-length-value frames with string interning.
+"""Binary wire codec v2: compact tag-length-value frame bodies with string interning.
 
-The v1 wire serialised every payload as UTF-8 JSON, which made the remote
-path pay twice on every exchange: once to flatten nested explanation
-objects into throw-away dicts, and again to print/parse those dicts as
-text (entity URIs appear dozens of times per batch frame and are
-re-encoded every time).  The v2 codec replaces the *body* of a frame —
-the length-prefixed framing of :mod:`~repro.service.transport.framing` is
-unchanged — with a compact tag-length-value encoding built on stdlib
+This is the one body codec of the remote transport: every frame body of
+:mod:`~repro.service.transport.framing` is encoded here, built on stdlib
 ``struct``:
 
 * **Per-frame string table** — every string (entity/relation names, dict
@@ -25,21 +20,20 @@ unchanged — with a compact tag-length-value encoding built on stdlib
   no re-walk).  The server keeps per-generation encode caches of hot
   explanation results; the client mirrors it with a decode cache keyed on
   the blob bytes, so a warm replay moves memcpys, not codecs.
-* **Header correlation id** — a varint request id sits in the fixed
-  header (0 = none), so the multiplexed client can correlate a response
-  to its in-flight request without decoding the body on the event loop.
 
-A binary body always starts with the magic byte ``0xB2``, which can never
-begin a JSON object frame (v1 bodies start with ``{``), so both codecs
-coexist on one connection and a server answers each frame in the wire
-format it arrived in.  Exceeding ``max_frame_bytes`` raises
+Every body starts with the magic byte ``0xB2`` and the version byte, so a
+peer speaking anything else is rejected with a typed
+:class:`~repro.service.transport.framing.ProtocolError` — as is any
+truncated, garbled or too deeply nested body; the decoder raises no other
+exception type.  Exceeding ``max_frame_bytes`` raises
 :class:`~repro.service.transport.framing.FrameTooLargeError` at encode
-time, before any socket is touched, exactly like the JSON path.
+time, before any socket is touched.
 
 Frame body layout (after the 4-byte length prefix of the framing layer)::
 
-    magic 0xB2 | version 0x02 | request-id varint | table-count varint
-    | table entries (varint byte-length + UTF-8) ... | root value (TLV)
+    magic 0xB2 | version 0x02 | reserved varint (written 0, skipped on read)
+    | table-count varint | table entries (varint byte-length + UTF-8) ...
+    | root value (TLV)
 
 Value tags::
 
@@ -62,17 +56,12 @@ from ...core.explanation import Explanation, MatchedPath, RelationPath
 from ...kg import Triple
 from ..observability.context import TraceContext
 from ..service import MutationSpec
-from .framing import FrameTooLargeError, ProtocolError, decode_json_body
+from .framing import FrameTooLargeError, ProtocolError
 
-#: First byte of every binary body; never the first byte of a JSON object.
+#: First byte of every frame body.
 BINARY_MAGIC = 0xB2
-#: Wire revision carried in byte 1 of every binary body.
+#: Wire revision carried in byte 1 of every frame body.
 BINARY_VERSION = 2
-
-#: Negotiable wire names (what ``ping`` / the READY line advertise).
-WIRE_JSON = "json"
-WIRE_BINARY = "binary"
-SUPPORTED_WIRES = (WIRE_JSON, WIRE_BINARY)
 
 _DOUBLE = struct.Struct(">d")
 
@@ -280,10 +269,9 @@ class _Encoder:
         out += self.body
         return bytes(out)
 
-    def frame_body(self, request_id: int) -> bytes:
-        """Magic + version + id + table + body (a complete frame body)."""
-        out = bytearray((BINARY_MAGIC, BINARY_VERSION))
-        _write_varint(out, request_id)
+    def frame_body(self) -> bytes:
+        """Magic + version + reserved 0 + table + body (a complete frame body)."""
+        out = bytearray((BINARY_MAGIC, BINARY_VERSION, 0))
         self._write_table(out)
         out += self.body
         return bytes(out)
@@ -311,7 +299,7 @@ def encode_binary_value(value) -> Blob:
     return Blob(encoder.standalone())
 
 
-def encode_binary(payload: dict, request_id: int = 0, max_frame_bytes: int | None = None) -> bytes:
+def encode_binary(payload: dict, max_frame_bytes: int | None = None) -> bytes:
     """Encode *payload* into one binary frame body.
 
     Raises:
@@ -324,35 +312,13 @@ def encode_binary(payload: dict, request_id: int = 0, max_frame_bytes: int | Non
         )
     encoder = _Encoder()
     encoder.write_value(payload)
-    body = encoder.frame_body(request_id)
+    body = encoder.frame_body()
     if max_frame_bytes is not None and len(body) > max_frame_bytes:
         raise FrameTooLargeError(
             f"outgoing binary frame of {len(body)} bytes exceeds the "
             f"{max_frame_bytes}-byte bound"
         )
     return body
-
-
-def is_binary_body(body: bytes) -> bool:
-    """True when *body* is a v2 binary frame body (magic-byte sniff)."""
-    return bool(body) and body[0] == BINARY_MAGIC
-
-
-def peek_request_id(body: bytes) -> int:
-    """The header request id of a binary body, without decoding the value.
-
-    This is what the multiplexed client's event loop calls to correlate a
-    response frame to its in-flight request; the (much heavier) value
-    decode happens later, on the requesting thread.
-    """
-    if len(body) < 2 or body[0] != BINARY_MAGIC:
-        raise ProtocolError("not a binary frame body")
-    if body[1] != BINARY_VERSION:
-        raise ProtocolError(
-            f"binary frame announces wire version {body[1]}, this peer speaks {BINARY_VERSION}"
-        )
-    request_id, _ = _read_varint(body, 2)
-    return request_id
 
 
 class _Decoder:
@@ -532,15 +498,23 @@ class _Decoder:
 _BLOB_CACHE_CAPACITY = 8192
 
 
-def decode_binary(body: bytes, blob_cache: dict | None = None) -> tuple[int, dict]:
-    """Decode one binary frame body into ``(request_id, payload)``.
+def decode_binary(body: bytes, blob_cache: dict | None = None) -> dict:
+    """Decode one frame body into its payload dict.
 
     *blob_cache* (optional) maps standalone blob bytes to their decoded
     values, so repeated hot results decode once; pass a dict owned by the
-    connection.  Raises :class:`ProtocolError` on malformed bodies or a
-    non-object root, mirroring the JSON path.
+    connection.
+
+    Raises:
+        ProtocolError: the body is not a v2 body, is malformed or nests
+            too deeply, or its root is not an object.
     """
-    request_id = peek_request_id(body)
+    if len(body) < 2 or body[0] != BINARY_MAGIC:
+        raise ProtocolError("frame body is not a binary v2 body")
+    if body[1] != BINARY_VERSION:
+        raise ProtocolError(
+            f"binary frame announces wire version {body[1]}, this peer speaks {BINARY_VERSION}"
+        )
     _, offset = _read_varint(body, 2)
     decoder = _Decoder(body, offset, blob_cache)
     try:
@@ -553,37 +527,14 @@ def decode_binary(body: bytes, blob_cache: dict | None = None) -> tuple[int, dic
         raise ProtocolError(
             f"frame payload must be an object, got {type(payload).__name__}"
         )
-    return request_id, payload
-
-
-def decode_any_body(body: bytes, blob_cache: dict | None = None) -> tuple[str, int, dict]:
-    """Decode a frame body of either wire into ``(wire, request_id, payload)``.
-
-    The first body byte picks the codec: the v2 magic means binary, a
-    ``{`` means JSON.  JSON payloads carry their correlation id (if any)
-    as an ``"id"`` member; binary payloads carry it in the header.
-    """
-    if is_binary_body(body):
-        request_id, payload = decode_binary(body, blob_cache)
-        return WIRE_BINARY, request_id, payload
-    payload = decode_json_body(body)
-    request_id = payload.get("id", 0)
-    if not isinstance(request_id, int) or isinstance(request_id, bool) or request_id < 0:
-        request_id = 0
-    return WIRE_JSON, request_id, payload
+    return payload
 
 
 __all__ = [
     "BINARY_MAGIC",
-    "decode_any_body",
     "BINARY_VERSION",
     "Blob",
-    "SUPPORTED_WIRES",
-    "WIRE_BINARY",
-    "WIRE_JSON",
     "decode_binary",
     "encode_binary",
     "encode_binary_value",
-    "is_binary_body",
-    "peek_request_id",
 ]

@@ -289,9 +289,9 @@ class SlowShardServer(ShardServer):
 
     dispatch_delay = 0.05
 
-    def _dispatch(self, request, wire):
+    def _dispatch(self, request):
         time.sleep(self.dispatch_delay)
-        return super()._dispatch(request, wire)
+        return super()._dispatch(request)
 
 
 class BlackholeServer:

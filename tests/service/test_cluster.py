@@ -374,8 +374,15 @@ class TestFailoverSemantics:
         to the shard's other replica, not abort the replay."""
         import socket as socket_module
 
-        from repro.service.transport import encode_error, recv_frame, send_frame
         from repro.service import ServiceOverloadedError as Overloaded
+        from repro.service.transport import (
+            decode_binary,
+            encode_binary,
+            encode_error,
+            frame_raw,
+            recv_frame_raw,
+            send_raw_frame,
+        )
 
         def fake_replica(handler):
             listener = socket_module.socket(socket_module.AF_INET, socket_module.SOCK_STREAM)
@@ -386,12 +393,13 @@ class TestFailoverSemantics:
                 with conn:
                     while True:
                         try:
-                            request = recv_frame(conn)
+                            body = recv_frame_raw(conn)
                         except Exception:
                             return
-                        if request is None:
+                        if body is None:
                             return
-                        send_frame(conn, handler(request))
+                        response = handler(decode_binary(body))
+                        send_raw_frame(conn, frame_raw(encode_binary(response)))
 
             def serve():
                 # One thread per connection: pooled probe/data sockets stay
@@ -432,10 +440,7 @@ class TestFailoverSemantics:
         healthy_listener, healthy_address = fake_replica(healthy_handler)
         topology = topology_for_endpoints([[overloaded_address, healthy_address]])
         manager = _manual_manager(topology)
-        # Pin json/no-mux: the fake replicas above speak v1 JSON frames only.
-        client = ClusterClient(
-            topology, manager=manager, check_topology=False, wire="json", mux=False
-        )
+        client = ClusterClient(topology, manager=manager, check_topology=False)
         try:
             # Drive until the overloaded replica has been tried at least
             # once (selection is load-scored, so the first pick may
@@ -685,4 +690,4 @@ class TestClusterEndpointsCLI:
         assert report["num_requests"] == 40
         assert report["service"]["completed"] == 40
         assert report["service"]["failed"] == 0
-        assert report["wire"]["wire"] in ("json", "binary")
+        assert "wire" not in report

@@ -18,7 +18,6 @@ MatchedPath, Explanation, a spliced blob, TraceContext and MutationSpec).
   that into a :class:`ProtocolError` on both ends of the wire.
 """
 
-import json
 import random
 import socket
 import threading
@@ -124,7 +123,7 @@ class TestDecoderFuzz:
         expected = every_tag_payload()
         # The blob decodes to the value it was encoded from.
         expected["values"][12] = expected["values"][11]
-        assert decode_binary(FRAME_BODY) == (0, expected)
+        assert decode_binary(FRAME_BODY) == expected
 
     def test_every_prefix_decodes_or_raises_protocol_error(self):
         for end in range(len(FRAME_BODY)):
@@ -159,13 +158,6 @@ def fuzz_server(fitted_model, service_dataset):
     service.close(drain=False)
 
 
-def _decode_response(body: bytes) -> dict:
-    """A response frame body of either codec the server may answer in."""
-    if body and body[0] == BINARY_MAGIC:
-        return decode_binary(body)[1]
-    return json.loads(body.decode("utf-8"))
-
-
 def _exchange(address, body: bytes) -> tuple[dict | None, bool]:
     """Send one garbage body; return ``(response or None, hung_up)``.
 
@@ -177,7 +169,7 @@ def _exchange(address, body: bytes) -> tuple[dict | None, bool]:
         answer = recv_frame_raw(conn)
         if answer is None:
             return None, True
-        response = _decode_response(answer)
+        response = decode_binary(answer)
         if decodes_or_raises_protocol_error(body):
             return response, False
         # Undecodable: the error frame is followed by a hang-up.
@@ -248,7 +240,7 @@ class TestDeepNesting:
 
         responder = threading.Thread(target=answer_nested, daemon=True)
         responder.start()
-        client = RemoteShardClient(f"{host}:{port}", timeout=CLIENT_TIMEOUT, wire="binary", mux=False)
+        client = RemoteShardClient(f"{host}:{port}", timeout=CLIENT_TIMEOUT)
         try:
             with pytest.raises(RemoteTransportError, match="nests"):
                 client.call({"op": "ping"})

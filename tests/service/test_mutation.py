@@ -52,11 +52,7 @@ from repro.service import (
     ShardServer,
 )
 from repro.service.cache import EPOCH_MODULUS, ResultCache
-from repro.service.transport.protocol import (
-    OP_MUTATE,
-    decode_mutations,
-    encode_mutations,
-)
+from repro.service.transport.protocol import OP_MUTATE, decode_mutations
 from repro.service.transport.wire import decode_binary, encode_binary
 
 
@@ -351,14 +347,9 @@ class TestMutationWire:
         MutationSpec(op="remove", kg=2, triple=Triple("x", "rel", "y")),
     ]
 
-    def test_json_rows_roundtrip(self):
-        rows = encode_mutations(self.SPECS)
-        assert rows == [["add", 1, "é1", "r→", "e2"], ["remove", 2, "x", "rel", "y"]]
-        assert decode_mutations(rows) == self.SPECS
-
     def test_binary_codec_ships_specs_natively(self):
         payload = {"op": OP_MUTATE, "seq": 3, "mutations": list(self.SPECS)}
-        _, decoded = decode_binary(encode_binary(payload))
+        decoded = decode_binary(encode_binary(payload))
         assert decoded["seq"] == 3
         assert decoded["mutations"] == self.SPECS
         assert all(isinstance(spec, MutationSpec) for spec in decoded["mutations"])
@@ -366,7 +357,13 @@ class TestMutationWire:
 
     @pytest.mark.parametrize(
         "payload",
-        ["not-a-list", [["add", 1, "h", "r"]], [["grow", 1, "h", "r", "t", "x"]], [42]],
+        [
+            "not-a-list",
+            [["add", 1, "h", "r"]],
+            [["grow", 1, "h", "r", "t", "x"]],
+            [42],
+            [["add", 1, "h", "r", "t"]],  # a 5-element row is not a MutationSpec
+        ],
     )
     def test_malformed_rows_are_refused(self, payload):
         with pytest.raises(ValueError):
@@ -430,14 +427,6 @@ class TestOrderedLogServer:
         assert report["applied"] == 1
         assert dataset.kg1.version == version_before + 1
         assert client.ping()["mutation_seq"] == 0
-        client.close()
-
-    def test_mutate_capability_is_advertised(self, mutation_server):
-        _, _, _, _, address = mutation_server
-        client = RemoteShardClient(address)
-        info = client.ping()
-        assert info["mutate"] is True
-        assert info["mutation_seq"] == 0
         client.close()
 
 

@@ -2,7 +2,7 @@
 
 Four layers of coverage:
 
-* **Units** — trace-context and span wire round-trips (both codecs),
+* **Units** — trace-context and span wire round-trips,
   log-bucketed histogram merge/quantile behaviour, the latency ring's
   wraparound and percentile edge cases, and heterogeneous-snapshot
   tolerance in ``merge_raw`` (version-skewed peers).
@@ -12,9 +12,8 @@ Four layers of coverage:
   slow-request log record what they should; ``trace_buffer=0`` disables
   span recording without breaking requests.
 * **Remote propagation** — a traced request over a loopback
-  `ShardServer` carries its context across both wire codecs; the
-  ``trace`` wire op pulls the server's spans back for stitching; a
-  pre-tracing peer (``trace=False``) interoperates untraced.
+  `ShardServer` carries its context across the wire; the ``trace`` wire
+  op pulls the server's spans back for stitching.
 * **Exporter** — :func:`prometheus_text` renders counters, gauges and
   cumulative histogram series a Prometheus scraper would accept.
 """
@@ -92,7 +91,7 @@ class TestTraceContext:
     def test_binary_codec_round_trips_the_context(self):
         trace = new_trace()
         payload = {"op": EXPLAIN, "source": "a", "target": "b", "trace": trace}
-        _, decoded = decode_binary(encode_binary(payload))
+        decoded = decode_binary(encode_binary(payload))
         assert decoded["trace"] == trace
 
     def test_span_wire_round_trip(self):
@@ -364,10 +363,9 @@ def traced_server(fitted_model, service_dataset):
 
 
 class TestRemotePropagation:
-    @pytest.mark.parametrize("wire", ["json", "binary"])
-    def test_trace_crosses_the_wire_and_spans_pull_back(self, traced_server, wire):
+    def test_trace_crosses_the_wire_and_spans_pull_back(self, traced_server):
         service, _, address = traced_server
-        with ClusterClient(topology_for_endpoints([[address]]), wire=wire) as client:
+        with ClusterClient(topology_for_endpoints([[address]])) as client:
             source, target = sorted(client.pairs())[0]
             value, trace = client.traced(EXPLAIN, source, target, timeout=30)
             assert value is not None
@@ -384,29 +382,6 @@ class TestRemotePropagation:
             timeline["stage_totals_ms"][name] for name in ("queue", "batch", "engine")
         )
         assert 0 < stage_sum <= timeline["total_ms"] * 1.10
-
-    def test_pre_tracing_peer_interoperates_untraced(self, fitted_model, service_dataset):
-        service = ExplanationService(
-            fitted_model, service_dataset, ServiceConfig(num_workers=1)
-        )
-        server = ShardServer(service, shard_id=0, num_shards=1, trace=False)
-        address = server.bind("127.0.0.1:0")
-        server.start_in_thread()
-        service.start()
-        try:
-            with ClusterClient(topology_for_endpoints([[address]])) as client:
-                source, target = sorted(client.pairs())[0]
-                # The ping did not advertise `trace`, so the context is
-                # stripped client-side and the call still succeeds.
-                value, trace = client.traced(EXPLAIN, source, target, timeout=30)
-                assert value is not None
-                # The span pull degrades to the client's own envelope.
-                assert client.trace_spans(trace.trace_id) == []
-                timeline = client.trace_timeline(trace.trace_id)
-                assert [span["name"] for span in timeline["spans"]] == ["client_send"]
-        finally:
-            server.stop()
-            service.close(drain=False)
 
     def test_untraced_requests_record_no_spans(self, traced_server):
         service, _, address = traced_server
@@ -427,18 +402,16 @@ class TestRemotePropagation:
 
 
 # ----------------------------------------------------------------------
-# Cluster acceptance: fleet-wide stitching + failover retry, both codecs
+# Cluster acceptance: fleet-wide stitching + failover retry
 # ----------------------------------------------------------------------
 class TestClusterTracing:
-    @pytest.mark.parametrize("wire", ["json", "binary"])
     def test_traced_request_stitches_across_a_replicated_cluster(
-        self, fitted_model, service_dataset, wire
+        self, fitted_model, service_dataset
     ):
         """The acceptance bar: a traced request through a real 2-shard x
         2-replica subprocess cluster yields a stitched timeline whose
         per-stage spans sum to within 10% of the client-observed latency,
-        and a traced request across a failover carries a ``retry`` span —
-        proven over both wire codecs."""
+        and a traced request across a failover carries a ``retry`` span."""
         pairs = predicted_pairs(fitted_model, limit=16)
         # cache_capacity=0 keeps every request computing so each traced
         # call produces queue/batch/engine spans; the huge probe interval
@@ -453,7 +426,6 @@ class TestClusterTracing:
             num_replicas=2,
             service_config=config,
             probe_interval=60.0,
-            wire=wire,
         ) as cluster:
             client = cluster.client
             source, target = pairs[0]

@@ -18,8 +18,7 @@ Five layers of coverage:
   one deliberately slowed replica: the latency burn-rate alert fires,
   tail sampling keeps the slow trace (and exactly the configured
   fraction of fast ones), the doctor names the offending replica, and
-  results are bit-identical with tail sampling on vs off — over both
-  wire codecs.
+  results are bit-identical with tail sampling on vs off.
 * **Subprocess acceptance + exporter well-formedness** — the same SLO /
   tail-sampling plumbing over a real 2x2 ``serve``-subprocess cluster,
   whose Prometheus scrape must parse cleanly under a strict
@@ -807,11 +806,10 @@ def _manual_manager(topology):
 
 
 class TestClusterSLOAcceptance:
-    @pytest.mark.parametrize("wire", ["json", "binary"])
     def test_slow_replica_fires_alert_keeps_trace_and_doctor_names_it(
-        self, slow_fleet, fitted_model, wire
+        self, slow_fleet, fitted_model
     ):
-        """The acceptance bar, over both wire codecs: with one induced
+        """The acceptance bar: with one induced
         slow replica, the latency burn-rate alert fires (and lands in
         the fleet event log), tail sampling keeps at least one slow or
         retried trace while keeping exactly the configured rotation of
@@ -831,7 +829,6 @@ class TestClusterSLOAcceptance:
             with ClusterClient(
                 topology,
                 manager=manager,
-                wire=wire,
                 tail_sampler=sampler,
                 slo_objectives=(objective,),
                 alert_policy=AlertPolicy(page_burn=1.5, ticket_burn=1.0),
@@ -897,9 +894,7 @@ class TestClusterSLOAcceptance:
             # -- bit-identical with tail sampling off --
             plain_manager = _manual_manager(topology)
             try:
-                with ClusterClient(
-                    topology, manager=plain_manager, wire=wire
-                ) as plain:
+                with ClusterClient(topology, manager=plain_manager) as plain:
                     for pair in pairs:
                         assert plain.explain(*pair, timeout=60) == sampled_results[pair]
             finally:
@@ -917,9 +912,9 @@ class TestSubprocessClusterSLOPlane:
     ):
         """SLO evaluation, tail sampling (with fleet-wide pin fan-out)
         and a well-formed Prometheus scrape over a real 2-shard x
-        2-replica ``serve``-subprocess cluster — the codec matrix rides
-        REPRO_WIRE in CI.  Results stay bit-identical between the plain
-        cluster client and one carrying the whole SLO/tail plane."""
+        2-replica ``serve``-subprocess cluster.  Results stay
+        bit-identical between the plain cluster client and one carrying
+        the whole SLO/tail plane."""
         pairs = predicted_pairs(fitted_model, limit=8)
         with ReplicatedLocalCluster(
             fitted_model,
@@ -1109,6 +1104,19 @@ class TestBenchTripwire:
         )
         (failure,) = report["failures"]
         assert failure["collapse"] == math.inf
+
+    def test_remote_warm_throughput_is_watched(self):
+        """The cross-process row reports ``remote_warm_rps``, not ``warm_rps``."""
+        check_bench = _load_check_bench()
+        report = check_bench.compare(
+            {"ZH-EN-remote": {"remote_warm_rps": 10.0, "inprocess_warm_rps": 100.0}},
+            {"ZH-EN-remote": {"remote_warm_rps": 100.0, "inprocess_warm_rps": 100.0}},
+        )
+        (failure,) = report["failures"]
+        assert (failure["workload"], failure["metric"]) == ("ZH-EN-remote", "remote_warm_rps")
+        # The committed reference carries the metric, so CI compares the row.
+        reference = check_bench.load_rows([check_bench.DEFAULT_REFERENCE])
+        assert reference["ZH-EN-remote"]["remote_warm_rps"] > 0
 
     def test_default_reference_holds_only_quick_rows(self):
         """Quick rows are compared with quick rows, never with full-mode ones."""

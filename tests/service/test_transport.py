@@ -48,23 +48,39 @@ from repro.service import (
     topology_for_endpoints,
 )
 from repro.service.transport import (
+    DEFAULT_MAX_FRAME_BYTES,
     ConnectionClosedError,
     FrameTimeoutError,
     FrameTooLargeError,
     ProtocolError,
+    decode_binary,
     decode_error,
     decode_value,
+    encode_binary,
+    encode_binary_value,
     encode_error,
-    encode_frame,
     encode_value,
-    recv_frame,
-    send_frame,
+    frame_raw,
+    recv_frame_raw,
+    send_raw_frame,
 )
 from repro.service.transport.protocol import OP_PING
+from repro.service.transport.wire import BINARY_MAGIC, BINARY_VERSION
 
 
 def predicted_pairs(model, limit=20):
     return sorted(model.predict().pairs)[:limit]
+
+
+def send_payload(sock, payload: dict, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> None:
+    """Encode *payload* as one binary frame and write it to *sock*."""
+    send_raw_frame(sock, frame_raw(encode_binary(payload), max_frame_bytes))
+
+
+def recv_payload(sock, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> dict | None:
+    """Read and decode one binary frame; ``None`` on a clean EOF."""
+    body = recv_frame_raw(sock, max_frame_bytes)
+    return None if body is None else decode_binary(body)
 
 
 # ----------------------------------------------------------------------
@@ -75,54 +91,54 @@ class TestFraming:
         left, right = socket.socketpair()
         with left, right:
             payload = {"op": "ping", "nested": {"values": [1, 2.5, "x"]}}
-            send_frame(left, payload)
-            assert recv_frame(right) == payload
+            send_payload(left, payload)
+            assert recv_payload(right) == payload
 
     def test_multiple_frames_are_self_delimiting(self):
         left, right = socket.socketpair()
         with left, right:
             for index in range(3):
-                send_frame(left, {"index": index})
+                send_payload(left, {"index": index})
             for index in range(3):
-                assert recv_frame(right) == {"index": index}
+                assert recv_payload(right) == {"index": index}
 
     def test_clean_eof_between_frames_returns_none(self):
         left, right = socket.socketpair()
         with right:
-            send_frame(left, {"op": "last"})
+            send_payload(left, {"op": "last"})
             left.close()
-            assert recv_frame(right) == {"op": "last"}
-            assert recv_frame(right) is None
+            assert recv_payload(right) == {"op": "last"}
+            assert recv_payload(right) is None
 
     def test_truncated_frame_raises(self):
         left, right = socket.socketpair()
         with right:
-            frame = encode_frame({"op": "ping"})
+            frame = frame_raw(encode_binary({"op": "ping"}))
             left.sendall(frame[: len(frame) - 2])  # drop the final bytes
             left.close()
             with pytest.raises(ConnectionClosedError):
-                recv_frame(right)
+                recv_payload(right)
 
     def test_oversized_outgoing_frame_rejected_before_send(self):
         left, right = socket.socketpair()
         with left, right:
             with pytest.raises(FrameTooLargeError):
-                send_frame(left, {"blob": "x" * 2048}, max_frame_bytes=1024)
+                send_payload(left, {"blob": "x" * 2048}, max_frame_bytes=1024)
 
     def test_oversized_incoming_frame_rejected_before_body_read(self):
         left, right = socket.socketpair()
         with left, right:
             left.sendall(struct.pack(">I", 512 * 1024 * 1024))  # announce 512 MiB
             with pytest.raises(FrameTooLargeError):
-                recv_frame(right, max_frame_bytes=1024)
+                recv_payload(right, max_frame_bytes=1024)
 
     def test_non_object_payload_rejected(self):
         left, right = socket.socketpair()
         with left, right:
-            body = b"[1, 2, 3]"
+            body = bytes([BINARY_MAGIC, BINARY_VERSION, 0]) + encode_binary_value([1, 2, 3]).data
             left.sendall(struct.pack(">I", len(body)) + body)
             with pytest.raises(ProtocolError):
-                recv_frame(right)
+                recv_payload(right)
 
 
 # ----------------------------------------------------------------------
@@ -142,20 +158,19 @@ def _sample_explanation() -> Explanation:
     )
 
 
+def _over_the_wire(kind: str, value):
+    """*value* encoded as a response frame body and decoded back."""
+    return decode_binary(encode_binary({"ok": encode_value(kind, value)}))["ok"]
+
+
 class TestCodec:
     def test_explanation_roundtrips_equal(self):
         explanation = _sample_explanation()
-        import json
-
-        wire = json.loads(json.dumps(encode_value(EXPLAIN, explanation)))
-        assert decode_value(EXPLAIN, wire) == explanation
+        assert decode_value(EXPLAIN, _over_the_wire(EXPLAIN, explanation)) == explanation
 
     def test_confidence_float_is_exact(self):
-        import json
-
         value = 0.1 + 0.2  # a double with no short decimal form
-        wire = json.loads(json.dumps(encode_value(CONFIDENCE, value)))
-        assert decode_value(CONFIDENCE, wire) == value
+        assert decode_value(CONFIDENCE, _over_the_wire(CONFIDENCE, value)) == value
 
     def test_verify_bool(self):
         assert decode_value(VERIFY, encode_value(VERIFY, True)) is True
@@ -266,11 +281,11 @@ class TestWireErrors:
         host, port = address.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=10) as conn:
             conn.sendall(struct.pack(">I", 200 * 1024 * 1024))  # announce 200 MiB
-            response = recv_frame(conn)
+            response = recv_payload(conn)
             assert response is not None and "error" in response
             assert isinstance(decode_error(response["error"]), FrameTooLargeError)
             # The poisoned connection is then closed server-side.
-            assert recv_frame(conn) is None
+            assert recv_payload(conn) is None
 
     def test_oversized_response_reported_as_error_not_dropped_connection(
         self, fitted_model, service_dataset
@@ -280,16 +295,17 @@ class TestWireErrors:
         service = ExplanationService(
             fitted_model, service_dataset, ServiceConfig(num_workers=1)
         ).start()
-        server = ShardServer(service, max_frame_bytes=256)  # JSON responses won't fit
+        # Pings fit the bound; two explanation results in one batch do not.
+        server = ShardServer(service, max_frame_bytes=256)
         address = server.bind("127.0.0.1:0")
         server.start_in_thread()
         try:
-            pair = predicted_pairs(fitted_model, limit=1)[0]
-            # Pin json: the interned binary encoding fits the same result
-            # under 256 bytes (the v2 suite covers its oversized path).
-            client = RemoteShardClient(address, timeout=30, wire="json", mux=False)
+            pairs = predicted_pairs(fitted_model, limit=2)
+            client = RemoteShardClient(address, timeout=30)
             with pytest.raises(FrameTooLargeError):
-                client.call({"op": EXPLAIN, "source": pair[0], "target": pair[1]})
+                # The 2-item batch request fits the bound; its
+                # 2-explanation response cannot.
+                client.call({"op": "batch", "items": [[EXPLAIN, s, t] for s, t in pairs]})
             # The connection survived; small exchanges still work on it.
             assert client.ping()["shard_id"] == 0
             client.close()
@@ -423,7 +439,7 @@ class TestConnectionFailures:
 
         def accept_then_die():
             conn, _ = listener.accept()
-            recv_frame(conn)  # read the request in full ...
+            recv_frame_raw(conn)  # read the request in full ...
             conn.close()  # ... and die without replying
 
         killer = threading.Thread(target=accept_then_die, daemon=True)
@@ -448,14 +464,14 @@ class TestConnectionFailures:
         def answer(conn):
             # The control plane's probe pings get a shard-0-of-1 identity;
             # any other request (the batch) gets 1 slot for 2 items.  A
-            # frame this JSON-only fake cannot decode ends the connection.
+            # frame this fake cannot decode ends the connection.
             with conn:
                 try:
-                    while (request := recv_frame(conn)) is not None:
+                    while (request := recv_payload(conn)) is not None:
                         if request.get("op") == OP_PING:
-                            send_frame(conn, {"ok": {"shard_id": 0, "num_shards": 1}})
+                            send_payload(conn, {"ok": {"shard_id": 0, "num_shards": 1}})
                         else:
-                            send_frame(conn, {"results": [{"ok": True}]})
+                            send_payload(conn, {"results": [{"ok": True}]})
                 except (OSError, ProtocolError):
                     pass
 
@@ -473,8 +489,6 @@ class TestConnectionFailures:
             topology_for_endpoints([[f"{host}:{port}"]]),
             timeout=10,
             check_topology=False,
-            wire="json",
-            mux=False,
         )
         with pytest.raises(ProtocolError, match="batch"):
             client.replay([(VERIFY, "a", "b"), (VERIFY, "c", "d")])
@@ -493,8 +507,7 @@ class TestConnectionFailures:
 
     def test_stale_pooled_connection_reconnects(self, loopback_server):
         _, _, address = loopback_server
-        # Pin the v1 pooled transport: the test reaches into `_pool`.
-        client = RemoteShardClient(address, timeout=10, wire="json", mux=False)
+        client = RemoteShardClient(address, timeout=10)
         assert client.ping()["shard_id"] == 0
         # Sever the pooled socket under the client; the next call must
         # notice the stale connection, re-dial and succeed.
@@ -526,17 +539,15 @@ class TestConnectionFailures:
                     return
                 connections_seen.append(conn)
                 with conn:
-                    request = recv_frame(conn)
+                    request = recv_payload(conn)
                     if request is None:
                         continue
                     requests_answered.append(request)
-                    send_frame(conn, {"ok": {"shard_id": 0, "echo": request.get("n")}})
+                    send_payload(conn, {"ok": {"shard_id": 0, "echo": request.get("n")}})
 
         server = threading.Thread(target=serve_one_then_hang_up, daemon=True)
         server.start()
-        # Pin json/no-mux: the fake server counts connections, and a
-        # negotiation ping would add one.
-        client = RemoteShardClient(f"{host}:{port}", timeout=10, wire="json", mux=False)
+        client = RemoteShardClient(f"{host}:{port}", timeout=10)
         first = client.call({"op": OP_PING, "n": 1})
         assert first["echo"] == 1
         assert len(client._pool) == 1  # the (already dead) socket went back
@@ -562,22 +573,24 @@ class TestConnectionFailures:
         listener.listen(1)
         host, port = listener.getsockname()
         requests_seen = []
+        release = threading.Event()
 
         def accept_and_stall():
             conn, _ = listener.accept()
-            requests_seen.append(recv_frame(conn))
-            time.sleep(3.0)  # never answer within the client timeout
+            requests_seen.append(recv_payload(conn))
+            release.wait(timeout=30)  # never answer within the client timeout
             conn.close()
 
         staller = threading.Thread(target=accept_and_stall, daemon=True)
         staller.start()
-        # Pin json/no-mux so the stalled frame is the request itself, not
-        # a negotiation ping.
-        client = RemoteShardClient(f"{host}:{port}", timeout=10, wire="json", mux=False)
+        client = RemoteShardClient(f"{host}:{port}", timeout=10)
         start = time.monotonic()
-        with pytest.raises(FrameTimeoutError):
-            client.call({"op": OP_PING}, timeout=0.5)
-        elapsed = time.monotonic() - start
+        try:
+            with pytest.raises(FrameTimeoutError):
+                client.call({"op": OP_PING}, timeout=0.5)
+            elapsed = time.monotonic() - start
+        finally:
+            release.set()
         assert elapsed < 2.0  # one timeout's wait, not two (no re-send)
         staller.join(timeout=10)
         assert len(requests_seen) == 1  # the request was never re-sent
@@ -587,10 +600,7 @@ class TestConnectionFailures:
     def test_local_oversized_request_spares_the_pooled_connection(self, loopback_server):
         """An oversized request must fail before touching any socket."""
         _, _, address = loopback_server
-        # Pin the v1 pooled transport: the test reaches into `_pool`.
-        client = RemoteShardClient(
-            address, timeout=10, max_frame_bytes=512, wire="json", mux=False
-        )
+        client = RemoteShardClient(address, timeout=10, max_frame_bytes=512)
         assert client.ping()["shard_id"] == 0
         assert len(client._pool) == 1
         pooled = client._pool[0]

@@ -1,6 +1,6 @@
-"""Binary wire v2 + multiplexed transport tests.
+"""Binary wire v2 codec tests.
 
-Four layers of coverage:
+Three layers of coverage:
 
 * **Codec property tests** — seeded randomized payloads (nested
   containers, unicode entity names, explanation/path/triple results,
@@ -8,24 +8,17 @@ Four layers of coverage:
   ``encode_binary``/``decode_binary``; equal explanations encode to
   *identical bytes* regardless of candidate-set iteration order (what
   the blob caches key on); malformed and oversized bodies are rejected
-  with the same typed errors as the JSON path.
+  with typed errors.
 * **Blob splicing** — pre-encoded values splice into frames and decode
   back equal; the decode cache returns the cached object on a repeat.
-* **Mux connection behaviour** — out-of-order completion over one
-  socket, per-request deadlines that do NOT kill the connection, and a
-  peer death that fails every in-flight request.
-* **Negotiation over real servers** — an auto client upgrades to
-  binary+mux against a capable server, negotiates down to JSON/pooled
-  against a ``wires=("json",)`` server, and both transports return
-  equal results; wire telemetry surfaces through ``stats_snapshot``.
+* **Real servers** — a server answers a body in any other codec with a
+  ``ProtocolError`` error frame, and wire telemetry surfaces on both
+  ends.
 """
 
 import json
 import random
 import socket
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -41,12 +34,8 @@ from repro.service import (
     merge_raw,
 )
 from repro.service.transport import (
-    ConnectionClosedError,
-    FrameTimeoutError,
     FrameTooLargeError,
-    MuxConnection,
     ProtocolError,
-    decode_any_body,
     decode_binary,
     encode_binary,
     encode_binary_value,
@@ -55,13 +44,8 @@ from repro.service.transport import (
     recv_frame_raw,
     send_raw_frame,
 )
-from repro.service.transport.protocol import OP_PING, decode_error, decode_value
-from repro.service.transport.wire import (
-    BINARY_MAGIC,
-    Blob,
-    is_binary_body,
-    peek_request_id,
-)
+from repro.service.transport.protocol import decode_error
+from repro.service.transport.wire import BINARY_MAGIC, BINARY_VERSION, Blob
 
 UNICODE_NAMES = [
     "实体/甲",
@@ -153,14 +137,9 @@ class TestBinaryCodec:
             "results": [_random_value(rng) for _ in range(rng.randrange(0, 6))],
             "meta": _random_value(rng),
         }
-        request_id = rng.randrange(0, 2**40)
-        body = encode_binary(payload, request_id)
-        assert is_binary_body(body)
-        assert peek_request_id(body) == request_id
-        decoded_id, decoded = decode_binary(body)
-        assert decoded_id == request_id
+        decoded = decode_binary(encode_binary(payload))
 
-        # Tuples legitimately come back as lists (JSON parity); compare
+        # Tuples legitimately come back as lists; compare
         # through a canonical form that erases only that difference.
         def canon(value):
             if isinstance(value, tuple) and not isinstance(value, Triple):
@@ -177,14 +156,20 @@ class TestBinaryCodec:
 
         assert canon(decoded) == canon(payload)
 
+    def test_header_is_magic_version_and_a_zero_reserved_varint(self):
+        body = encode_binary({"op": "ping"})
+        assert body[:3] == bytes([BINARY_MAGIC, BINARY_VERSION, 0])
+        # Readers skip the reserved varint whatever it holds.
+        assert decode_binary(body[:2] + bytes([0x85, 0x03]) + body[3:]) == {"op": "ping"}
+
     def test_empty_batch_roundtrips(self):
         body = encode_binary({"op": "batch", "items": []})
-        assert decode_binary(body) == (0, {"op": "batch", "items": []})
+        assert decode_binary(body) == {"op": "batch", "items": []}
 
     def test_error_envelopes_roundtrip_as_their_own_type(self):
         for error in (FrameTooLargeError("too big"), ValueError("bad kind")):
             body = encode_binary({"error": encode_error(error)})
-            _, decoded = decode_binary(body)
+            decoded = decode_binary(body)
             revived = decode_error(decoded["error"])
             assert type(revived) is type(error)
             assert str(error) in str(revived)
@@ -210,18 +195,9 @@ class TestBinaryCodec:
         assert explanation == reordered
         assert encode_binary_value(explanation).data == encode_binary_value(reordered).data
 
-    def test_binary_and_json_decode_to_equal_payloads(self):
-        """The two codecs are interchangeable for JSON-expressible data."""
-        payload = {"op": "ping", "nested": {"values": [1, 2.5, "x", None, True]}}
-        _, _, from_binary = decode_any_body(encode_binary(payload))
-        _, _, from_json = decode_any_body(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        )
-        assert from_binary == from_json == payload
-
     def test_oversized_binary_frame_rejected_at_encode_time(self):
         with pytest.raises(FrameTooLargeError):
-            encode_binary({"blob": "x" * 2048}, 0, max_frame_bytes=1024)
+            encode_binary({"blob": "x" * 2048}, max_frame_bytes=1024)
 
     def test_wrong_version_rejected(self):
         body = bytearray(encode_binary({"op": "ping"}))
@@ -233,6 +209,7 @@ class TestBinaryCodec:
         "body",
         [
             b"",
+            b'{"op": "ping"}',  # a JSON object is not a binary body
             bytes([BINARY_MAGIC]),  # magic alone, no version
             encode_binary({"op": "ping"})[:-1],  # truncated value
             bytes([BINARY_MAGIC, 2, 0x80]),  # unterminated varint
@@ -244,6 +221,7 @@ class TestBinaryCodec:
             decode_binary(body)
 
     def test_non_object_root_rejected_like_json(self):
+        """A bare list root is refused, as a JSON array frame always was."""
         blob = encode_binary_value([1, 2, 3])
         body = bytes([BINARY_MAGIC, 2, 0]) + blob.data
         with pytest.raises(ProtocolError, match="object"):
@@ -260,9 +238,7 @@ class TestBlobSplicing:
         rng = random.Random(5)
         explanation = _random_explanation(rng)
         blob = encode_binary_value(explanation)
-        body = encode_binary({"ok": blob, "plain": "x"}, request_id=7)
-        request_id, decoded = decode_binary(body)
-        assert request_id == 7
+        decoded = decode_binary(encode_binary({"ok": blob, "plain": "x"}))
         assert decoded["ok"] == explanation
         assert decoded["plain"] == "x"
 
@@ -270,8 +246,8 @@ class TestBlobSplicing:
         explanation = _random_explanation(random.Random(6))
         blob = encode_binary_value(explanation)
         cache: dict = {}
-        _, first = decode_binary(encode_binary({"ok": blob}), cache)
-        _, second = decode_binary(encode_binary({"ok": blob}), cache)
+        first = decode_binary(encode_binary({"ok": blob}), cache)
+        second = decode_binary(encode_binary({"ok": blob}), cache)
         assert first["ok"] == explanation
         assert second["ok"] is first["ok"]  # no second decode
         assert len(cache) == 1
@@ -288,12 +264,8 @@ class TestBlobSplicing:
             candidate_triples2=set(explanation.candidate_triples2),
         )
         cache: dict = {}
-        _, first = decode_binary(
-            encode_binary({"ok": encode_binary_value(explanation)}), cache
-        )
-        _, second = decode_binary(
-            encode_binary({"ok": encode_binary_value(copy)}), cache
-        )
+        first = decode_binary(encode_binary({"ok": encode_binary_value(explanation)}), cache)
+        second = decode_binary(encode_binary({"ok": encode_binary_value(copy)}), cache)
         assert len(cache) == 1
         assert second["ok"] is first["ok"]
 
@@ -304,111 +276,11 @@ class TestBlobSplicing:
 
 
 # ----------------------------------------------------------------------
-# Mux connection behaviour against scripted peers
-# ----------------------------------------------------------------------
-def _mux_pair():
-    left, right = socket.socketpair()
-    return MuxConnection(left, wire="binary"), right
-
-
-class TestMuxConnection:
-    def test_out_of_order_responses_reach_their_callers(self):
-        conn, peer = _mux_pair()
-
-        def answer_in_reverse():
-            requests = []
-            for _ in range(2):
-                body = recv_frame_raw(peer)
-                requests.append(decode_binary(body))
-            for request_id, payload in reversed(requests):
-                response = encode_binary({"ok": {"echo": payload["n"]}}, request_id)
-                send_raw_frame(peer, frame_raw(response))
-
-        responder = threading.Thread(target=answer_in_reverse, daemon=True)
-        responder.start()
-        try:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [
-                    pool.submit(conn.request, {"op": OP_PING, "n": n}, 10.0)
-                    for n in (1, 2)
-                ]
-                results = [future.result(timeout=30) for future in futures]
-            assert [r["ok"]["echo"] for r in results] == [1, 2]
-            responder.join(timeout=10)
-        finally:
-            conn.close()
-            peer.close()
-
-    def test_deadline_fails_the_request_but_not_the_connection(self):
-        conn, peer = _mux_pair()
-        try:
-            first_body = []
-
-            def stall_then_serve():
-                first_body.append(decode_binary(recv_frame_raw(peer)))
-                # Never answer the first request; serve the second promptly.
-                request_id, payload = decode_binary(recv_frame_raw(peer))
-                send_raw_frame(
-                    peer, frame_raw(encode_binary({"ok": {"echo": payload["n"]}}, request_id))
-                )
-
-            responder = threading.Thread(target=stall_then_serve, daemon=True)
-            responder.start()
-            with pytest.raises(FrameTimeoutError):
-                conn.request({"op": OP_PING, "n": 1}, timeout=0.3)
-            assert not conn.dead  # a slow peer is slow, not gone
-            assert conn.request({"op": OP_PING, "n": 2}, 10.0)["ok"]["echo"] == 2
-            responder.join(timeout=10)
-        finally:
-            conn.close()
-            peer.close()
-
-    def test_peer_death_fails_every_inflight_request(self):
-        conn, peer = _mux_pair()
-        try:
-            reader = threading.Thread(
-                target=lambda: [recv_frame_raw(peer) for _ in range(2)], daemon=True
-            )
-            reader.start()
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [
-                    pool.submit(conn.request, {"op": OP_PING, "n": n}, 30.0)
-                    for n in (1, 2)
-                ]
-                time.sleep(0.2)  # let both requests go in flight
-                reader.join(timeout=10)
-                peer.close()  # the peer dies with two requests pending
-                for future in futures:
-                    with pytest.raises(ConnectionClosedError):
-                        future.result(timeout=30)
-            assert conn.dead
-            with pytest.raises(ConnectionClosedError):
-                conn.request({"op": OP_PING}, 1.0)
-        finally:
-            conn.close()
-
-    def test_close_fails_pending_and_refuses_new_requests(self):
-        conn, peer = _mux_pair()
-        try:
-            swallow = threading.Thread(target=lambda: recv_frame_raw(peer), daemon=True)
-            swallow.start()
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                future = pool.submit(conn.request, {"op": OP_PING}, 30.0)
-                time.sleep(0.2)
-                conn.close()
-                with pytest.raises(ConnectionClosedError):
-                    future.result(timeout=30)
-            swallow.join(timeout=10)
-        finally:
-            peer.close()
-
-
-# ----------------------------------------------------------------------
-# Negotiation + telemetry against real servers
+# Real servers
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def running_server(fitted_model, service_dataset):
-    """A started service behind a full-capability server (binary + mux)."""
+    """A started service behind a server on a loopback socket."""
     service = ExplanationService(
         fitted_model, service_dataset, ServiceConfig(num_workers=2)
     ).start()
@@ -420,120 +292,29 @@ def running_server(fitted_model, service_dataset):
     service.close(drain=False)
 
 
-@pytest.fixture()
-def json_only_server(fitted_model, service_dataset):
-    """An old-style peer: JSON frames only, no mux (the v1 wire)."""
-    service = ExplanationService(
-        fitted_model, service_dataset, ServiceConfig(num_workers=2)
-    ).start()
-    server = ShardServer(service, shard_id=0, num_shards=1, wires=("json",), mux=False)
-    address = server.bind("127.0.0.1:0")
-    server.start_in_thread()
-    yield server, address
-    server.stop()
-    service.close(drain=False)
-
-
 def predicted_pairs(model, limit=20):
     return sorted(model.predict().pairs)[:limit]
 
 
-class TestNegotiation:
-    def test_auto_client_upgrades_against_a_capable_server(self, running_server):
+class TestServerCodec:
+    def test_json_body_gets_a_protocol_error_frame_then_a_hangup(self, running_server):
         _, address = running_server
-        client = RemoteShardClient(address, timeout=30, wire="auto", mux=None)
+        host, port = address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as conn:
+            send_raw_frame(conn, frame_raw(json.dumps({"op": "ping"}).encode("utf-8")))
+            response = decode_binary(recv_frame_raw(conn))
+            assert isinstance(decode_error(response["error"]), ProtocolError)
+            assert recv_frame_raw(conn) is None
+
+    def test_explain_results_equal_the_in_process_service(self, running_server, fitted_model):
+        server, address = running_server
+        client = RemoteShardClient(address, timeout=30)
         try:
-            assert client.negotiated_transport() == {"wire": "binary", "mux": True}
-            assert client.ping()["wires"] == ["json", "binary"]
+            for source, target in predicted_pairs(fitted_model, limit=10):
+                remote = client.call({"op": EXPLAIN, "source": source, "target": target})
+                assert remote == server.service.submit(EXPLAIN, source, target).result(30)
         finally:
             client.close()
-
-    def test_auto_client_negotiates_down_against_a_json_server(self, json_only_server):
-        _, address = json_only_server
-        client = RemoteShardClient(address, timeout=30, wire="auto", mux=None)
-        try:
-            assert client.negotiated_transport() == {"wire": "json", "mux": False}
-            assert client.ping()["shard_id"] == 0
-        finally:
-            client.close()
-
-    def test_json_server_rejects_binary_frames_with_a_protocol_error(
-        self, json_only_server
-    ):
-        _, address = json_only_server
-        client = RemoteShardClient(address, timeout=30, wire="binary", mux=False)
-        try:
-            with pytest.raises(ProtocolError, match="binary wire disabled"):
-                client.ping()
-        finally:
-            client.close()
-
-    def test_results_are_bit_identical_across_wires(
-        self, running_server, fitted_model
-    ):
-        """The acceptance contract: every transport/codec combination
-        returns EQUAL results for the same pairs."""
-        _, address = running_server
-        pairs = predicted_pairs(fitted_model, limit=20)
-        variants = {
-            "json-pooled": RemoteShardClient(address, timeout=30, wire="json", mux=False),
-            "binary-pooled": RemoteShardClient(
-                address, timeout=30, wire="binary", mux=False
-            ),
-            "binary-mux": RemoteShardClient(address, timeout=30, wire="binary", mux=True),
-            "negotiated": RemoteShardClient(address, timeout=30, wire="auto", mux=None),
-        }
-        try:
-            # `call` returns the raw wire value (a dict on the JSON path, a
-            # decoded Explanation on the binary path); decode_value folds
-            # both into the object the facade hands callers.
-            reference = [
-                decode_value(
-                    EXPLAIN,
-                    variants["json-pooled"].call(
-                        {"op": EXPLAIN, "source": source, "target": target}
-                    ),
-                )
-                for source, target in pairs
-            ]
-            for name, client in variants.items():
-                if name == "json-pooled":
-                    continue
-                for pair, expected in zip(pairs, reference):
-                    value = decode_value(
-                        EXPLAIN,
-                        client.call({"op": EXPLAIN, "source": pair[0], "target": pair[1]}),
-                    )
-                    assert value == expected, f"{name} diverged on {pair}"
-        finally:
-            for client in variants.values():
-                client.close()
-
-    def test_binary_oversized_response_is_an_error_frame_not_a_hangup(
-        self, fitted_model, service_dataset
-    ):
-        service = ExplanationService(
-            fitted_model, service_dataset, ServiceConfig(num_workers=1)
-        ).start()
-        # Pings (~190 bytes) fit the bound; explanation results never do.
-        server = ShardServer(service, max_frame_bytes=256)
-        address = server.bind("127.0.0.1:0")
-        server.start_in_thread()
-        try:
-            pairs = predicted_pairs(fitted_model, limit=2)
-            client = RemoteShardClient(address, timeout=30, wire="binary", mux=True)
-            with pytest.raises(FrameTooLargeError):
-                # The 2-item batch request (~110 bytes) fits the bound;
-                # its 2-explanation response (~330+ bytes) cannot.
-                client.call(
-                    {"op": "batch", "items": [[EXPLAIN, s, t] for s, t in pairs]}
-                )
-            # The mux connection survived the per-request failure.
-            assert client.ping()["shard_id"] == 0
-            client.close()
-        finally:
-            server.stop()
-            service.close(drain=False)
 
 
 class TestWireTelemetry:

@@ -7,7 +7,9 @@ records the row it just measured without touching the committed
 fresh rows against a committed reference of rows measured the same way
 and fails ONLY on a catastrophic collapse: a workload whose committed
 warm throughput exceeds the fresh measurement by more than
-``--max-collapse`` (default 3x).
+``--max-collapse`` (default 3x).  Warm throughput is ``warm_rps``, or
+``remote_warm_rps`` on the ``ZH-EN-remote`` row — the one quick row that
+crosses the process boundary.
 
 The default reference is ``benchmarks/BENCH_quick.json``: quick rows
 written through ``REPRO_BENCH_FRESH_OUT`` with their run metadata
@@ -42,8 +44,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_REFERENCE = REPO_ROOT / "benchmarks" / "BENCH_quick.json"
 
 #: Row metrics the tripwire watches (throughput only; latencies are far
-#: too machine-dependent for a cross-run comparison).
-WATCHED_KEYS = ("warm_rps",)
+#: too machine-dependent for a cross-run comparison).  ``remote_warm_rps``
+#: is the warm replay through shard server subprocesses (``ZH-EN-remote``).
+WATCHED_KEYS = ("warm_rps", "remote_warm_rps")
 
 
 def load_rows(paths: list[Path]) -> dict:
