@@ -25,7 +25,8 @@ ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
   :func:`merge_stats` / :func:`merge_raw` for overall-across-shards
   reporting.
 * :mod:`~repro.service.observability` — the tracing/metrics plane:
-  :class:`TraceContext` propagation through every layer and the wire, per-process :class:`Span` rings stitched fleet-wide by
+  :class:`TraceContext` propagation through every layer and the wire,
+  per-process :class:`Span` rings stitched fleet-wide by
   :func:`stitch_trace`, log-bucketed per-stage histograms, the
   slow-request log, and the :func:`prometheus_text` exporter.
 * :mod:`~repro.service.transport` — the process boundary:

@@ -221,7 +221,6 @@ class TestBinaryCodec:
             decode_binary(body)
 
     def test_non_object_root_rejected_like_json(self):
-        """A bare list root is refused, as a JSON array frame always was."""
         blob = encode_binary_value([1, 2, 3])
         body = bytes([BINARY_MAGIC, 2, 0]) + blob.data
         with pytest.raises(ProtocolError, match="object"):
