@@ -12,8 +12,9 @@ Three layers of coverage:
 * **Blob splicing** — pre-encoded values splice into frames and decode
   back equal; the decode cache returns the cached object on a repeat.
 * **Real servers** — a server answers a body in any other codec with a
-  ``ProtocolError`` error frame, and wire telemetry surfaces on both
-  ends.
+  ``ProtocolError`` error frame and a response beyond its frame bound
+  with a ``FrameTooLargeError`` error frame on a connection that stays
+  up; wire telemetry surfaces on both ends.
 """
 
 import json
@@ -314,6 +315,38 @@ class TestServerCodec:
                 assert remote == server.service.submit(EXPLAIN, source, target).result(30)
         finally:
             client.close()
+
+
+class TestNegotiation:
+    """What the server puts on the wire when a response outgrows its
+    frame bound (the class name keeps existing test ids stable)."""
+
+    def test_binary_oversized_response_is_an_error_frame_not_a_hangup(
+        self, fitted_model, service_dataset
+    ):
+        service = ExplanationService(
+            fitted_model, service_dataset, ServiceConfig(num_workers=1)
+        ).start()
+        # Pings fit the bound; two explanation results in one batch do not.
+        server = ShardServer(service, max_frame_bytes=256)
+        address = server.bind("127.0.0.1:0")
+        server.start_in_thread()
+        try:
+            pairs = predicted_pairs(fitted_model, limit=2)
+            host, port = address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=30) as conn:
+                # The 2-item batch request fits the bound; its
+                # 2-explanation response cannot.
+                request = {"op": "batch", "items": [[EXPLAIN, s, t] for s, t in pairs]}
+                send_raw_frame(conn, frame_raw(encode_binary(request)))
+                response = decode_binary(recv_frame_raw(conn))
+                assert isinstance(decode_error(response["error"]), FrameTooLargeError)
+                # The same socket still carries the next exchange.
+                send_raw_frame(conn, frame_raw(encode_binary({"op": "ping"})))
+                assert decode_binary(recv_frame_raw(conn))["ok"]["shard_id"] == 0
+        finally:
+            server.stop()
+            service.close(drain=False)
 
 
 class TestWireTelemetry:
