@@ -18,11 +18,16 @@ Four layers of coverage:
   cumulative histogram series a Prometheus scraper would accept.
 """
 
+import copy
+import itertools
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import ExEA
 from repro.service import (
     CONFIDENCE,
     EXPLAIN,
@@ -40,6 +45,8 @@ from repro.service.observability import (
     BUCKET_BOUNDS,
     Histogram,
     SpanRecorder,
+    TailSampleConfig,
+    TailSampler,
     histogram_quantile,
     merge_histogram_raw,
     new_trace,
@@ -207,6 +214,155 @@ class TestServiceStatsReservoir:
 
 
 # ----------------------------------------------------------------------
+# Exact-merge laws: fleet merges do not depend on order or grouping
+# ----------------------------------------------------------------------
+#: Dyadic durations (k / 2**20 s, up to 16 s): sums of a few hundred of
+#: them are exact in binary floating point, so merge order and grouping
+#: cannot change a histogram ``sum`` and the laws below hold exactly.
+DYADIC_SECONDS = st.integers(min_value=0, max_value=2**24).map(lambda k: k / 2**20)
+_KINDS = (EXPLAIN, CONFIDENCE, "verify")
+_STAGES = ("cache", "queue", "batch", "engine")
+
+#: One recorded event of a ServiceStats (name, *arguments).
+STATS_EVENT = st.one_of(
+    st.tuples(st.sampled_from(["submitted", "rejected", "expired", "failed"])),
+    st.tuples(st.sampled_from(["invalidation", "slow"])),
+    st.tuples(st.sampled_from(["hit", "miss"]), st.sampled_from(_KINDS)),
+    st.tuples(st.just("eviction"), st.integers(1, 8)),
+    st.tuples(st.just("scoped"), st.integers(0, 64), st.integers(0, 64), st.integers(0, 500)),
+    st.tuples(st.just("batch"), st.integers(1, 64)),
+    st.tuples(st.just("stage"), st.sampled_from(_STAGES), DYADIC_SECONDS),
+    st.tuples(st.just("request"), st.sampled_from(_KINDS), DYADIC_SECONDS),
+    st.tuples(st.sampled_from(["sent", "received"]), st.integers(0, 4096), st.integers(0, 10**6)),
+)
+STATS_EVENTS = st.lists(STATS_EVENT, max_size=30)
+
+
+def _replay_stats(events) -> ServiceStats:
+    """A ServiceStats that recorded *events* in order."""
+    stats = ServiceStats()
+    actions = {
+        "submitted": stats.record_submitted,
+        "rejected": stats.record_rejected,
+        "expired": stats.record_expired,
+        "failed": stats.record_failed,
+        "invalidation": stats.record_invalidation,
+        "slow": stats.record_slow_request,
+        "hit": stats.record_hit,
+        "miss": stats.record_miss,
+        "eviction": stats.record_eviction,
+        "scoped": stats.record_scoped_invalidation,
+        "batch": stats.record_batch,
+        "stage": stats.record_stage,
+        "request": stats.record_request,
+        "sent": stats.wire.record_sent,
+        "received": stats.wire.record_received,
+    }
+    for name, *arguments in events:
+        actions[name](*arguments)
+    return stats
+
+
+def _histogram_of(values) -> Histogram:
+    histogram = Histogram()
+    for value in values:
+        histogram.observe(value)
+    return histogram
+
+
+def _used_length(counts: list) -> int:
+    """Length of *counts* up to and including its last non-zero slot."""
+    return max((index + 1 for index, count in enumerate(counts) if count), default=0)
+
+
+class TestExactMergeLaws:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(DYADIC_SECONDS, max_size=40), min_size=3, max_size=3))
+    def test_histogram_merge_is_commutative_and_associative(self, samples):
+        parts = [_histogram_of(values).raw() for values in samples]
+        untouched = copy.deepcopy(parts)
+        merged = merge_histogram_raw(parts)
+        # A fleet merge equals one histogram that observed every sample.
+        assert merged == _histogram_of([value for values in samples for value in values]).raw()
+        for order in itertools.permutations(parts):
+            assert merge_histogram_raw(order) == merged
+        first, second, third = parts
+        assert merge_histogram_raw([merge_histogram_raw([first, second]), third]) == merged
+        assert merge_histogram_raw([first, merge_histogram_raw([second, third])]) == merged
+        assert parts == untouched
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(DYADIC_SECONDS, max_size=40), st.integers(0, len(BUCKET_BOUNDS) + 1))
+    def test_histogram_short_counts_merge_as_zeros(self, values, cut):
+        raw = _histogram_of(values).raw()
+        short = {**raw, "counts": raw["counts"][: max(cut, _used_length(raw["counts"]))]}
+        assert merge_histogram_raw([short]) == raw
+
+    @settings(max_examples=100, deadline=None)
+    @given(STATS_EVENTS, STATS_EVENTS, STATS_EVENTS)
+    def test_merge_raw_is_commutative_on_every_key(self, first, second, third):
+        parts = [_replay_stats(events).raw() for events in (first, second, third)]
+        untouched = copy.deepcopy(parts)
+        merged = merge_raw(parts)
+        for order in itertools.permutations(parts):
+            assert merge_raw(order) == merged
+        assert parts == untouched
+        # High watermarks take the max, everything else sums.
+        batch_sizes = [size for events in (first, second, third)
+                       for name, *args in events if name == "batch" for size in args]
+        blasts = [args[2] for events in (first, second, third)
+                  for name, *args in events if name == "scoped"]
+        assert merged["max_batch_size"] == max(batch_sizes, default=0)
+        assert merged["invalidation"]["max_blast_entities"] == max(blasts, default=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(STATS_EVENTS, STATS_EVENTS, STATS_EVENTS)
+    def test_merge_raw_is_associative_on_every_key(self, first, second, third):
+        """Regrouping parts, (a+b)+c vs a+(b+c), where a+b is one ServiceStats
+        that recorded both parts' events, changes no merged figure.  Only
+        ``shard_imbalance`` may differ: it describes how the parts split the
+        traffic, which regrouping changes by definition."""
+
+        def merged(*groups):
+            snapshot = merge_raw([_replay_stats(events).raw() for events in groups])
+            snapshot.pop("shard_imbalance")
+            return snapshot
+
+        flat = merged(first, second, third)
+        assert merged(first + second, third) == flat
+        assert merged(first, second + third) == flat
+        assert merged(first + second + third) == flat
+
+    @settings(max_examples=100, deadline=None)
+    @given(STATS_EVENTS, STATS_EVENTS, st.integers(0, len(BUCKET_BOUNDS) + 1))
+    def test_merge_raw_reads_missing_and_short_parts_as_zeros(self, first, second, cut):
+        modern, modern_latencies = _replay_stats(first).raw()
+        other, other_latencies = _replay_stats(second).raw()
+        # An older peer: no `stages`/`wire` keys at all ...
+        legacy = {key: value for key, value in other.items() if key not in ("stages", "wire")}
+        zeroed = {**legacy, "stages": {}, "wire": {key: 0 for key in other["wire"]}}
+        for parts in (
+            [(modern, modern_latencies), (legacy, other_latencies)],
+            [(legacy, other_latencies), (modern, modern_latencies)],
+        ):
+            expected = [(zeroed, latencies) if counters is legacy else (counters, latencies)
+                        for counters, latencies in parts]
+            assert merge_raw(parts) == merge_raw(expected)
+        # ... or histograms on a shorter bucket ladder.
+        short = {
+            **other,
+            "stages": {
+                name: {**raw, "counts": raw["counts"][: max(cut, _used_length(raw["counts"]))]}
+                for name, raw in other["stages"].items()
+            },
+        }
+        full_parts = [(modern, modern_latencies), (other, other_latencies)]
+        assert merge_raw([*full_parts, (short, other_latencies)]) == merge_raw(
+            [*full_parts, (other, other_latencies)]
+        )
+
+
+# ----------------------------------------------------------------------
 # Span recorder / stitching units
 # ----------------------------------------------------------------------
 class TestSpanRecorder:
@@ -325,6 +481,30 @@ class TestInProcessTracing:
             assert service.trace_spans(trace.trace_id) == []
             # Stage histograms still record — they are always-on telemetry.
             assert service.stats.snapshot()["stage_latency_ms"]["cache"]["count"] >= 1
+
+    def test_tail_sampler_traces_its_fraction_of_calls(self, fitted_model, service_dataset):
+        """A ``trace_fraction`` rotation decides which ``traced()`` calls
+        record spans; results never depend on it."""
+        sampler = TailSampler(TailSampleConfig(trace_fraction=0.25, slow_ms=1e9))
+        pairs = predicted_pairs(fitted_model, limit=8)
+        direct = ExEA(fitted_model, service_dataset)
+        config = ServiceConfig(num_workers=1, cache_capacity=0)
+        sampled = []
+        with ExplanationService(fitted_model, service_dataset, config) as service:
+            client = ExEAClient(service, tail_sampler=sampler)
+            for pair in pairs:
+                value, trace = client.traced(EXPLAIN, *pair, timeout=30)
+                assert value == direct.explain(*pair)
+                if trace.sampled:
+                    sampled.append(trace)
+                    timeline = client.trace_timeline(trace.trace_id)
+                    names = {span["name"] for span in timeline["spans"]}
+                    assert {"client_send", "cache", "queue", "batch", "engine"} <= names
+                else:
+                    assert client.tracer.spans(trace.trace_id) == []
+                    assert service.trace_spans(trace.trace_id) == []
+        assert len(pairs) == 8
+        assert len(sampled) == 2
 
     def test_slow_request_log_captures_breakdown(self, fitted_model, service_dataset):
         config = ServiceConfig(cache_capacity=0, slow_request_ms=0.0)
