@@ -1,19 +1,12 @@
 """Micro-benchmark: explanation service throughput vs direct engine calls.
 
-Two measurements, both on the ZH-EN second-order workload:
+Three measurements, all on the ZH-EN second-order workload:
 
 * ``test_service_throughput`` — the PR-2 acceptance bar: a Zipf-skewed
   explain-only replay served **direct** (one engine call per request),
   **cold** (service, empty result cache) and **warm** (same replay on the
   populated cache); warm must sustain >= 5x direct throughput with
   bit-identical results.
-* ``test_service_mixed_dispatcher_vs_per_worker`` — the PR-3 acceptance
-  bar: a mixed explain+confidence replay served by the central
-  dispatcher (cross-worker per-operation batches + batched ADG/confidence
-  path) vs the PR-2 per-worker micro-batcher baseline
-  (``ServiceConfig(scheduler="per-worker")``), cold and warm, best of
-  ``REPEATS`` runs each.  Results must be bit-identical across modes and
-  the dispatcher must win on both cold and warm replays.
 * ``test_service_remote_vs_inprocess`` — the transport row: the same
   replay served by the in-process sharded service vs a process-per-shard
   cluster (one-replica ``ReplicatedLocalCluster``: real
@@ -31,7 +24,7 @@ Two measurements, both on the ZH-EN second-order workload:
   routing table.
 
 Results are written to ``BENCH_service.json`` next to this file (keys
-``ZH-EN``, ``ZH-EN-mixed``, ``ZH-EN-remote`` and ``ZH-EN-cluster``).
+``ZH-EN``, ``ZH-EN-remote`` and ``ZH-EN-cluster``).
 
 Run directly (``python bench_service_throughput.py [--quick]``) or via
 pytest.  ``--quick`` is the CI smoke mode: tiny workloads, no numeric
@@ -66,11 +59,6 @@ NUM_CLIENTS = 8
 SKEW = 1.0
 #: Second-order candidates (the heavier Fig. 4 ZH-EN workload).
 MAX_HOPS = 2
-#: Best-of runs per scheduler mode in the mixed comparison.  Warm replays
-#: are cache-hit dominated (both schedulers serve them from the submit
-#: fast path), so several repeats are needed to keep scheduling noise out
-#: of the warm comparison.
-REPEATS = 5
 
 
 def _write_row(key: str, row: dict) -> None:
@@ -160,107 +148,6 @@ def test_service_throughput(benchmark, dataset_cache, model_cache, bench_scale, 
     # Acceptance: warm-cache replay serves the ZH-EN workload at >= 5x the
     # throughput of uncached direct engine calls.
     assert row["warm_vs_direct_speedup"] >= 5.0
-
-
-def test_service_mixed_dispatcher_vs_per_worker(
-    benchmark, dataset_cache, model_cache, bench_scale, quick
-):
-    """Mixed explain+confidence replay: central dispatcher vs PR-2 baseline."""
-    dataset = dataset_cache("ZH-EN")
-    model = model_cache("Dual-AMN", "ZH-EN")
-    pairs = sample_correct_pairs(
-        model, dataset, bench_scale.explanation_sample, seed=bench_scale.seed
-    )
-    num_requests = 200 if quick else NUM_REQUESTS
-    workload = replay_workload(
-        pairs, num_requests, seed=bench_scale.seed, skew=SKEW, kinds=(EXPLAIN, CONFIDENCE)
-    )
-    unique_pairs = sorted({(source, target) for _, source, target in workload})
-    exea_config = ExEAConfig(explanation=ExplanationConfig(max_hops=MAX_HOPS))
-    repeats = 1 if quick else REPEATS
-
-    def run_once_in(scheduler: str):
-        """One fresh service: cold replay, warm replay, result sample."""
-        config = ServiceConfig(max_batch_size=32, num_workers=2, scheduler=scheduler)
-        service = ExplanationService(model, dataset, config, exea_config=exea_config)
-        with service:
-            client = ExEAClient(service)
-            cold = replay_concurrently(client, workload, NUM_CLIENTS)
-            warm = replay_concurrently(client, workload, NUM_CLIENTS)
-            explains = {pair: client.explain(*pair) for pair in unique_pairs}
-            confidences = {pair: client.confidence(*pair) for pair in unique_pairs}
-        return cold, warm, explains, confidences
-
-    def measure():
-        # Interleave the two modes per repeat (rather than running one
-        # mode's repeats back to back) so slow machine drift hits both
-        # equally; report each mode's best cold/warm.
-        best = {
-            mode: [float("inf"), float("inf"), None, None]
-            for mode in ("per-worker", "dispatcher")
-        }
-        for _ in range(repeats):
-            for mode in best:
-                cold, warm, explains, confidences = run_once_in(mode)
-                entry = best[mode]
-                entry[0] = min(entry[0], cold)
-                entry[1] = min(entry[1], warm)
-                entry[2], entry[3] = explains, confidences
-        pw_cold, pw_warm, pw_explains, pw_confidences = best["per-worker"]
-        dp_cold, dp_warm, dp_explains, dp_confidences = best["dispatcher"]
-
-        matching = sum(
-            1
-            for pair in unique_pairs
-            if dp_explains[pair] == pw_explains[pair]
-            and dp_confidences[pair] == pw_confidences[pair]
-        )
-        return {
-            "workload": "ZH-EN-mixed",
-            "max_hops": MAX_HOPS,
-            "model": model.name,
-            "kinds": [EXPLAIN, CONFIDENCE],
-            "num_requests": len(workload),
-            "num_unique_pairs": len(unique_pairs),
-            "num_clients": NUM_CLIENTS,
-            "skew": SKEW,
-            "repeats": repeats,
-            "per_worker_cold_seconds": pw_cold,
-            "per_worker_warm_seconds": pw_warm,
-            "per_worker_cold_rps": len(workload) / pw_cold,
-            "per_worker_warm_rps": len(workload) / pw_warm,
-            "dispatcher_cold_seconds": dp_cold,
-            "dispatcher_warm_seconds": dp_warm,
-            "dispatcher_cold_rps": len(workload) / dp_cold,
-            "dispatcher_warm_rps": len(workload) / dp_warm,
-            "dispatcher_vs_per_worker_cold_speedup": pw_cold / max(dp_cold, 1e-12),
-            "dispatcher_vs_per_worker_warm_speedup": pw_warm / max(dp_warm, 1e-12),
-            "pairs_with_identical_results": matching,
-        }
-
-    row = run_once(benchmark, measure)
-    print()
-    print(
-        f"[service-mixed] per-worker cold {row['per_worker_cold_rps']:.0f} req/s / "
-        f"warm {row['per_worker_warm_rps']:.0f} req/s; "
-        f"dispatcher cold {row['dispatcher_cold_rps']:.0f} req/s / "
-        f"warm {row['dispatcher_warm_rps']:.0f} req/s; "
-        f"speedup cold {row['dispatcher_vs_per_worker_cold_speedup']:.2f}x, "
-        f"warm {row['dispatcher_vs_per_worker_warm_speedup']:.2f}x "
-        f"({row['pairs_with_identical_results']}/{row['num_unique_pairs']} identical)"
-    )
-
-    assert row["pairs_with_identical_results"] == row["num_unique_pairs"]
-    record_fresh_row(row["workload"], row, quick)
-    if quick:
-        return  # smoke mode: no numeric assertions, no artifact writes
-    _write_row(row["workload"], row)
-    # Acceptance: the batched-ADG dispatcher beats the PR-2 per-worker
-    # path on both the cold and the warm replay (the recorded row carries
-    # the actual speedups).  Warm replays are cache-hit dominated, so the
-    # warm bound keeps a small margin for pure scheduling noise.
-    assert row["dispatcher_vs_per_worker_cold_speedup"] >= 1.0
-    assert row["dispatcher_vs_per_worker_warm_speedup"] >= 0.95
 
 
 def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, bench_scale, quick):

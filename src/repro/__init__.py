@@ -17,9 +17,10 @@ The package is organised as:
 * :mod:`repro.metrics` — fidelity, sparsity, accuracy, precision/recall/F1.
 * :mod:`repro.experiments` — experiment configs, runners and table
   formatting used by the benchmark harness.
-* :mod:`repro.service` — explanation-as-a-service: micro-batching
-  scheduler, versioned result cache, worker pool, client facade and the
-  ``python -m repro.service`` traffic-replay CLI.
+* :mod:`repro.service` — explanation-as-a-service: one batching
+  dispatcher per shard, versioned result cache, worker pool, client
+  facades, shard servers, cluster control plane and the
+  ``python -m repro.service`` CLI.
 """
 
 __version__ = "1.0.0"

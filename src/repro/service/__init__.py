@@ -4,14 +4,14 @@ This package is the serving layer over the PR-1 batch engine (see
 ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
 
 * :mod:`~repro.service.batching` — bounded :class:`RequestQueue`
-  (admission control / backpressure) + :class:`MicroBatcher` (the PR-2
-  per-worker coalescing policy, kept as the benchmark baseline).
+  (admission control / backpressure) + :class:`MicroBatcher` (the
+  coalescing policy: whatever is already queued, up to the max batch
+  size).
 * :mod:`~repro.service.cache` — :class:`ResultCache`, an LRU keyed on
   ``(operation, pair)`` and invalidated wholesale by the KG / model
   version counters.
 * :mod:`~repro.service.worker` — :class:`WorkerPool`, pure executor
-  threads with one engine backend each (+ :class:`MicroBatchWorkerPool`,
-  the PR-2 pull-based pool).
+  threads with one engine backend each.
 * :mod:`~repro.service.dispatch` — :class:`Dispatcher`, the central
   scheduler packing cross-worker, operation-homogeneous batches.
 * :mod:`~repro.service.service` — :class:`ExplanationService` tying them
@@ -21,7 +21,8 @@ ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
   hash-partitioned shard groups, each with its own dispatcher, worker
   pool, cache and generation token.
 * :mod:`~repro.service.stats` — :class:`ServiceStats` telemetry (hit
-  rate, per-operation attribution, batch occupancy, p50/p95 latency) and
+  rate, per-operation attribution, batch occupancy, p50/p95 latency from
+  the request histogram) and
   :func:`merge_stats` / :func:`merge_raw` for overall-across-shards
   reporting.
 * :mod:`~repro.service.observability` — the tracing/metrics plane:
@@ -98,7 +99,7 @@ from .service import (
 from .sharding import ShardedExEAClient, ShardedExplanationService, ShardRouter
 from .stats import ServiceStats, WireCounters, imbalance_summary, merge_raw, merge_stats
 from .transport import RemoteShardClient, ShardServer
-from .worker import MicroBatchWorkerPool, WorkerPool
+from .worker import WorkerPool
 
 __all__ = [
     "CONFIDENCE",
@@ -110,7 +111,6 @@ __all__ = [
     "EXPLAIN",
     "ExEAClient",
     "ExplanationService",
-    "MicroBatchWorkerPool",
     "MicroBatcher",
     "MutationSpec",
     "RebalanceConfig",

@@ -50,8 +50,8 @@ additionally dumps the raw :class:`~repro.service.stats.ServiceStats`
 snapshot (overall + per-shard rows) for machine consumption and
 ``--metrics-out PATH`` writes the same telemetry in Prometheus text
 format.  Replays are deterministic (seeded Zipf traffic over the model's
-predicted pairs) and results are bit-identical across ``--shards`` /
-``--scheduler`` choices and the in-process/remote boundary.
+predicted pairs) and results are bit-identical across ``--shards``
+choices and the in-process/remote boundary.
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     """ServiceConfig knobs shared by every subcommand that builds a service."""
     parser.add_argument("--workers", type=int, default=2, help="worker threads per shard")
-    parser.add_argument(
-        "--scheduler",
-        default="dispatcher",
-        choices=["dispatcher", "per-worker"],
-        help="central cross-worker dispatcher (default) or the PR-2 per-worker baseline",
-    )
     parser.add_argument("--max-batch-size", type=int, default=32)
     parser.add_argument("--queue-capacity", type=int, default=1024)
     parser.add_argument("--cache-capacity", type=int, default=4096)
@@ -135,15 +129,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=2048,
         help="per-process span ring capacity for traced requests (0 disables tracing)",
-    )
-    parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=1.0,
-        help=(
-            "head-based sampling rate for traced requests, 0..1 (default 1.0 = keep "
-            "all; the keep/drop decision is made once at the root facade)"
-        ),
     )
 
 
@@ -210,15 +195,6 @@ def _topology(args: argparse.Namespace, prog: str) -> ClusterTopology | None:
 def _add_client_sampling_arguments(parser: argparse.ArgumentParser) -> None:
     """Client-side trace sampling shared by ``cluster``/``metrics``/``doctor``."""
     parser.add_argument(
-        "--trace-sample-rate",
-        type=float,
-        default=1.0,
-        help=(
-            "head-based sampling rate for traced requests, 0..1 (default 1.0 = keep "
-            "all; unsampled requests carry no trace context over the wire)"
-        ),
-    )
-    parser.add_argument(
         "--tail-sample",
         type=float,
         default=None,
@@ -227,7 +203,7 @@ def _add_client_sampling_arguments(parser: argparse.ArgumentParser) -> None:
             "enable tail-based trace sampling: trace this fraction of requests "
             "(deterministic rotation, 0..1) and keep only the traces that turn out "
             "slow, errored, or retried across replicas (plus --tail-keep-fast of "
-            "the healthy ones); replaces --trace-sample-rate for the keep decision"
+            "the healthy ones); without it every traced request is kept"
         ),
     )
     parser.add_argument(
@@ -289,15 +265,6 @@ def _tail_sampler(args: argparse.Namespace) -> TailSampler | None:
     return TailSampler(config)
 
 
-def _client_sampling_kwargs(args: argparse.Namespace) -> dict:
-    """Trace-sampling kwargs for remote clients from the CLI flags."""
-    kwargs: dict = {"trace_sample_rate": args.trace_sample_rate}
-    sampler = _tail_sampler(args)
-    if sampler is not None:
-        kwargs["tail_sampler"] = sampler
-    return kwargs
-
-
 def _service_config(args: argparse.Namespace, num_shards: int = 1) -> ServiceConfig:
     """Build the ServiceConfig from parsed CLI knobs."""
     return ServiceConfig(
@@ -306,10 +273,8 @@ def _service_config(args: argparse.Namespace, num_shards: int = 1) -> ServiceCon
         num_workers=args.workers,
         cache_capacity=args.cache_capacity,
         default_deadline_ms=args.deadline_ms,
-        scheduler=args.scheduler,
         num_shards=num_shards,
         trace_buffer=args.trace_buffer,
-        trace_sample_rate=args.trace_sample_rate,
         slow_request_ms=args.slow_ms,
     )
 
@@ -385,7 +350,7 @@ def replay_main(argv: list[str]) -> int:
 
     print(
         f"[service] replaying {len(workload)} requests over {args.clients} clients "
-        f"({args.shards} shard(s), {args.scheduler} scheduler) ...",
+        f"({args.shards} shard(s)) ...",
         file=sys.stderr,
     )
     with ShardedExplanationService(model, dataset, config) as service:
@@ -407,7 +372,6 @@ def replay_main(argv: list[str]) -> int:
             "queue_capacity": config.queue_capacity,
             "num_workers": config.num_workers,
             "cache_capacity": config.cache_capacity,
-            "scheduler": config.scheduler,
             "num_shards": config.num_shards,
         },
     }
@@ -607,11 +571,13 @@ def cluster_main(argv: list[str]) -> int:
         if args.rebalance
         else None,
     )
-    client_kwargs = _client_sampling_kwargs(args)
-    objectives = _resolve_slo_objectives(args)
-    if objectives:
-        client_kwargs["slo_objectives"] = objectives
-    with ClusterClient(topology, manager=manager, timeout=args.timeout, **client_kwargs) as client:
+    with ClusterClient(
+        topology,
+        manager=manager,
+        timeout=args.timeout,
+        tail_sampler=_tail_sampler(args),
+        slo_objectives=_resolve_slo_objectives(args),
+    ) as client:
         pairs = client.pairs()
         workload = _workload(args, pairs)
         print(
@@ -707,7 +673,7 @@ def _build_scrape_client(args: argparse.Namespace, prog: str) -> ClusterClient |
     topology = _topology(args, prog)
     if topology is None:
         return None
-    return ClusterClient(topology, timeout=args.timeout, **_client_sampling_kwargs(args))
+    return ClusterClient(topology, timeout=args.timeout, tail_sampler=_tail_sampler(args))
 
 
 def metrics_main(argv: list[str]) -> int:

@@ -58,7 +58,6 @@ request poisons the routing table.
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from typing import Callable, Iterable
@@ -234,29 +233,20 @@ class ClusterClient:
         timeout: float = DEFAULT_TIMEOUT,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         check_topology: bool = True,
-        trace_sample_rate: float = 1.0,
-        sample_seed: int | None = None,
         tail_sampler=None,
         slo_objectives: "Iterable[SLOObjective] | None" = None,
         alert_policy: AlertPolicy | None = None,
     ) -> None:
-        if not 0.0 <= trace_sample_rate <= 1.0:
-            raise ValueError("trace_sample_rate must be within [0, 1]")
         self.router = ShardRouter(topology.num_shards)
         #: client-side span ring: ``client_send`` envelopes and the
         #: ``retry`` spans of traced failovers
         self.tracer = SpanRecorder(512)
-        #: head-based sampling rate for :meth:`traced` — the keep/drop
-        #: decision is made once here at the root and rides with the
-        #: context, so a trace is recorded everywhere or nowhere
-        self.trace_sample_rate = trace_sample_rate
-        self._sample_random = random.Random(sample_seed)
-        #: tail-based sampling: when set, it replaces the head-based
-        #: rate for :meth:`traced` — the sampler's fraction of requests
-        #: is traced as *pending* and kept only when slow / errored /
-        #: retried (or on the baseline rotation); kept traces are pinned
-        #: locally and on every serving process via the ``trace`` op's
-        #: ``pin`` flag.  Never affects request results.
+        #: tail-based sampling: when set, :meth:`traced` traces the
+        #: sampler's fraction of requests as *pending* and keeps them only
+        #: when slow / errored / retried (or on the baseline rotation);
+        #: kept traces are pinned locally and on every serving process
+        #: via the ``trace`` op's ``pin`` flag.  Unset, every
+        #: :meth:`traced` call is traced.  Never affects request results.
         self.tail_sampler: TailSampler | None = tail_sampler
         #: trace ids that failed over at least once, noted by the retry
         #: path — an O(1) lookup for the tail sampler's "retried" keep
@@ -309,14 +299,6 @@ class ClusterClient:
         except BaseException:
             self.close()
             raise
-
-    def _sample(self) -> bool:
-        """One head-based sampling decision (1.0 and 0.0 skip the RNG)."""
-        if self.trace_sample_rate >= 1.0:
-            return True
-        if self.trace_sample_rate <= 0.0:
-            return False
-        return self._sample_random.random() < self.trace_sample_rate
 
     # ------------------------------------------------------------------
     # Topology
@@ -596,20 +578,18 @@ class ClusterClient:
         client's own ring.  Feed the context's ``trace_id`` to
         :meth:`trace_timeline`.
 
-        Head-based sampling (``trace_sample_rate``) decides keep/drop
-        here at the root: an unsampled request is sent *without* a trace
-        context (no wire bytes, no server spans, no client span) and
-        returns a context whose ``sampled`` flag is false, so callers can
-        tell an empty timeline from a dropped one.
-
-        With a :class:`TailSampler` attached the decision moves to
-        completion: the sampler's fraction of requests is traced as
+        Without a :class:`TailSampler` every call is traced.  With one
+        attached, the sampler's fraction of requests is traced as
         pending, then kept (pinned fleet-wide) only when the request
         turned out slow, errored, or failed over — plus the configured
-        baseline fraction of fast clean ones.
+        baseline fraction of fast clean ones.  A request outside that
+        fraction is sent *without* a trace context (no wire bytes, no
+        server spans, no client span) and returns a context whose
+        ``sampled`` flag is false, so callers can tell an empty timeline
+        from a dropped one.
         """
         sampler = self.tail_sampler
-        sampled = sampler.begin() if sampler is not None else self._sample()
+        sampled = sampler.begin() if sampler is not None else True
         trace = new_trace(sampled=sampled)
         started = time.perf_counter()
         try:
@@ -962,13 +942,13 @@ class ClusterClient:
         replicas are reported under ``unreachable`` instead of failing the
         whole snapshot — telemetry must stay readable mid-outage.
         """
-        per_shard_parts: list[list[tuple[dict, list[float]]]] = []
+        per_shard_parts: list[list[dict]] = []
         per_replica: list[list[dict | None]] = []
         pair_counts: list[int] = []
         unreachable: list[str] = []
         slow_requests: list[dict] = []
         for replicas in self.topology.shards:
-            parts: list[tuple[dict, list[float]]] = []
+            parts: list[dict] = []
             rows: list[dict | None] = []
             shard_pairs = 0
             for spec in replicas:
@@ -978,7 +958,7 @@ class ClusterClient:
                     unreachable.append(spec.endpoint)
                     rows.append(None)
                     continue
-                parts.append((payload["counters"], payload["latencies"]))
+                parts.append(payload["counters"])
                 rows.append(payload["snapshot"])
                 shard_pairs = int(payload.get("num_pairs", shard_pairs))
                 slow_requests.extend(payload.get("slow_requests", []))
@@ -986,7 +966,7 @@ class ClusterClient:
             per_replica.append(rows)
             pair_counts.append(shard_pairs)
         shard_submitted = [
-            sum(counters.get("submitted", 0) for counters, _ in parts)
+            sum(counters.get("submitted", 0) for counters in parts)
             for parts in per_shard_parts
         ]
         overall = merge_raw(part for parts in per_shard_parts for part in parts)

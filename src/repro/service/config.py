@@ -24,14 +24,6 @@ class ServiceConfig:
             result cache (LRU eviction).
         default_deadline_ms: per-request deadline applied when a request
             does not carry its own; ``None`` means no deadline.
-        latency_reservoir: how many of the most recent per-request
-            latencies the stats object retains (ring buffer) for the
-            percentile estimates.
-        scheduler: ``"dispatcher"`` (default) runs the central
-            cross-worker dispatcher with per-operation batch packing and
-            the batched ADG/confidence path; ``"per-worker"`` keeps the
-            PR-2 model (each worker micro-batches the shared queue and
-            confidence runs pair-at-a-time) as a benchmark baseline.
         num_shards: how many shard groups
             :class:`~repro.service.sharding.ShardedExplanationService`
             partitions the pair space into; each shard gets its own
@@ -48,12 +40,8 @@ class ServiceConfig:
         scoped_invalidation: when True (default) a mutation applied via
             :meth:`~repro.service.service.ExplanationService.mutate`
             evicts only the cache entries whose pair intersects the
-            mutation's blast radius; False forces the pre-PR-8 wholesale
-            drop on every mutation (the benchmark baseline).
-        trace_sample_rate: probability that a root client facade samples
-            a trace for span recording (head-based sampling).  Applies to
-            traces minted by ``traced()`` on the in-process and remote
-            client facades; 1.0 records every trace, 0.0 none.
+            mutation's blast radius; False forces a wholesale drop on
+            every mutation (the benchmark baseline).
     """
 
     max_batch_size: int = 32
@@ -61,14 +49,11 @@ class ServiceConfig:
     num_workers: int = 2
     cache_capacity: int = 4096
     default_deadline_ms: float | None = None
-    latency_reservoir: int = 100_000
-    scheduler: str = "dispatcher"
     num_shards: int = 1
     trace_buffer: int = 2048
     slow_request_ms: float | None = None
     slow_log_capacity: int = 128
     scoped_invalidation: bool = True
-    trace_sample_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -81,8 +66,6 @@ class ServiceConfig:
             raise ValueError("cache_capacity must be >= 0")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be positive when set")
-        if self.scheduler not in ("dispatcher", "per-worker"):
-            raise ValueError('scheduler must be "dispatcher" or "per-worker"')
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
         if self.trace_buffer < 0:
@@ -91,5 +74,3 @@ class ServiceConfig:
             raise ValueError("slow_request_ms must be >= 0 when set")
         if self.slow_log_capacity < 1:
             raise ValueError("slow_log_capacity must be >= 1")
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ValueError("trace_sample_rate must be within [0, 1]")

@@ -1,20 +1,16 @@
 """Central dispatcher: cross-worker batching and per-operation packing.
 
-PR 2 batched per worker: every worker thread ran its own micro-batcher
-loop over the shared queue, so a batch could never span what two workers
-happened to pull, and mixed explain/confidence batches were split *inside*
-the worker after the batching decision was already made.  The
-:class:`Dispatcher` inverts that: one scheduler thread drains the queue
-through the same :class:`~repro.service.batching.MicroBatcher` policy
-(whatever is already queued, up to the max batch size, with no added
-wait), packs each gather cycle into **operation-homogeneous** batches
-(explain requests together, confidence/verify requests together — the
-two kinds run different engine paths), and routes each packed batch to
-an idle worker.  While every worker is busy the dispatcher blocks on the
-pool, so the next cycle holds what queued meanwhile.  Workers are pure
-executors over their private engine backends; with mixed traffic the
-explain batch and the confidence batch of one gather cycle run on
-*different* workers concurrently instead of being serialised inside one.
+One scheduler thread drains the queue through the
+:class:`~repro.service.batching.MicroBatcher` policy (whatever is already
+queued, up to the max batch size, with no added wait), packs each gather
+cycle into **operation-homogeneous** batches (explain requests together,
+confidence/verify requests together — the two kinds run different
+engine paths), and routes each packed batch to an idle worker.  While
+every worker is busy the dispatcher blocks on the pool, so the next
+cycle holds what queued meanwhile.  Workers are pure executors over
+their private engine backends; with mixed traffic the explain batch and
+the confidence batch of one gather cycle run on *different* workers
+concurrently instead of being serialised inside one.
 
 Shutdown follows the queue's close semantics: when the queue is closed
 and drained the dispatcher forwards the shutdown to the pool (sentinels
@@ -52,9 +48,8 @@ class Dispatcher:
         self.pool = pool
         self.group_of = group_of
         self.precheck = precheck
-        #: called with the size of every gather cycle (occupancy telemetry);
-        #: counts the same population the per-worker mode counts — gathered
-        #: requests, before any cache/deadline resolution.
+        #: called with the size of every gather cycle (occupancy telemetry):
+        #: gathered requests, before any cache/deadline resolution.
         self.on_gather = on_gather
         self._thread: threading.Thread | None = None
 
@@ -111,9 +106,8 @@ class Dispatcher:
 
         When a *precheck* is installed, requests it resolves (cache hits
         while the request sat in the queue, lapsed deadlines) are answered
-        right here on the scheduler thread and never occupy a worker —
-        the dispatcher-side analogue of the recheck the PR-2 worker loop
-        performed after its own gather.  Requests keep their arrival order
+        right here on the scheduler thread and never occupy a worker.
+        Requests keep their arrival order
         inside each group; groups are emitted in first-seen order, so
         packing is deterministic.
         """

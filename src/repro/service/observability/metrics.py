@@ -1,13 +1,12 @@
 """Log-bucketed latency histograms and the Prometheus text exporter.
 
-The flat latency reservoir in :class:`~repro.service.stats.ServiceStats`
-answers "what are p50/p95 right now" but cannot be merged exactly across
-processes and says nothing about *where* time went.  The histograms here
-fix both: every process buckets its per-stage timings into the **same
-fixed doubling bucket ladder** (1 µs … ~1100 s), so merging fleet-wide is
-exact element-wise addition of counts, and quantiles are estimated from
-the merged buckets with bounded relative error (one octave, from the
-doubling base).
+Every process buckets its per-stage and whole-request timings into the
+**same fixed doubling bucket ladder** (1 µs … ~1100 s), so merging
+fleet-wide is exact element-wise addition of counts, and quantiles are
+estimated from the merged buckets with bounded relative error (one
+octave, from the doubling base).  They are the service's one latency
+source: :class:`~repro.service.stats.ServiceStats` derives its
+``p50_ms``/``p95_ms`` from the ``request`` histogram.
 
 :func:`prometheus_text` renders a merged stats snapshot — the
 ``--stats-json`` shape — in the Prometheus text exposition format, which
@@ -185,7 +184,6 @@ _GAUGE_KEYS = (
     "mean_batch_occupancy",
     "p50_ms",
     "p95_ms",
-    "latency_samples",
     "max_batch_size",
 )
 

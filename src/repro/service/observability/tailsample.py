@@ -1,12 +1,12 @@
 """Tail-based trace sampling: decide what to keep *after* the request ran.
 
-PR 7's head-based sampling (``trace_sample_rate``) decides before a
-request runs — which is exactly backwards for the traces an operator
-wants: the slow ones, the errored ones, the ones that failed over across
-replicas.  Tail sampling inverts the decision: the root facade traces a
-configurable fraction of *all* requests into the span rings as pending,
-and only **promotes-to-keep at completion** when the request turned out
-interesting:
+A sampling decision made before a request runs cannot pick the traces
+an operator wants: the slow ones, the errored ones, the ones that failed
+over across replicas.  Tail sampling decides afterwards: the root facade
+traces a configurable fraction of *all* requests into the span rings as
+pending (``trace_fraction``, default 1.0; a client with no sampler
+traces and keeps every ``traced()`` call), and only **promotes-to-keep
+at completion** when the request turned out interesting:
 
 * **slow** — client-observed latency at or over the SLO threshold;
 * **error** — the request raised;

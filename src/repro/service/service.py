@@ -56,14 +56,11 @@ alignment) is safe under the GIL.  The reference alignment (model
 predictions ∪ seed) is computed once per generation under a lock and
 shared by all workers, so every request in a generation is answered
 against the same alignment — a prerequisite for determinism under
-concurrency.  ``ServiceConfig(scheduler="per-worker")`` restores the PR-2
-model (per-worker micro-batchers, pair-at-a-time confidence) as a
-benchmark baseline.
+concurrency.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from concurrent.futures import Future
@@ -91,7 +88,7 @@ from .observability.context import TraceContext, new_span_id, new_trace
 from .observability.spans import ServiceTracer, Span, SpanRecorder, stitch_trace
 from .observability.tailsample import TailDecision, TailSampler
 from .stats import ServiceStats
-from .worker import MicroBatchWorkerPool, WorkerPool
+from .worker import WorkerPool
 
 #: Operation kinds accepted by :meth:`ExplanationService.submit`.
 EXPLAIN = "explain"
@@ -193,7 +190,7 @@ class ExplanationService:
             raise ValueError("a dataset is required (none attached to the model)")
         self.config = config or ServiceConfig()
         self.exea_config = exea_config or ExEAConfig()
-        self.stats = ServiceStats(latency_reservoir=self.config.latency_reservoir)
+        self.stats = ServiceStats()
         #: span ring + slow-request log for this service's side of a trace
         self.tracer = ServiceTracer(
             trace_buffer=self.config.trace_buffer,
@@ -208,25 +205,15 @@ class ExplanationService:
             for _ in range(self.config.num_workers)
         ]
         self.verify_threshold = low_confidence_threshold(self.exea_config.adg.theta)
-        #: per-worker mode = the PR-2 baseline: workers micro-batch the
-        #: shared queue themselves and the confidence oracle runs
-        #: pair-at-a-time.  Both modes expose `batcher` and `pool`.
-        self._per_worker = self.config.scheduler == "per-worker"
         self.batcher = MicroBatcher(self.queue, max_batch_size=self.config.max_batch_size)
-        if self._per_worker:
-            self.pool = MicroBatchWorkerPool(
-                self.config.num_workers, self.batcher, self._handle_batch
-            )
-            self._scheduler = self.pool
-        else:
-            self.pool = WorkerPool(self.config.num_workers, self._handle_batch)
-            self._scheduler = Dispatcher(
-                self.batcher,
-                self.pool,
-                group_of=_cache_kind,
-                precheck=self._precheck,
-                on_gather=self.stats.record_batch,
-            )
+        self.pool = WorkerPool(self.config.num_workers, self._handle_batch)
+        self._dispatcher = Dispatcher(
+            self.batcher,
+            self.pool,
+            group_of=_cache_kind,
+            precheck=self._precheck,
+            on_gather=self.stats.record_batch,
+        )
         #: when set, replaces the per-service reference-alignment compute —
         #: the sharded service shares one reference across its shards
         self._reference_provider = reference_provider
@@ -245,14 +232,14 @@ class ExplanationService:
     # ------------------------------------------------------------------
     def start(self) -> "ExplanationService":
         """Start the dispatcher and worker threads (idempotent)."""
-        self._scheduler.start()
+        self._dispatcher.start()
         return self
 
     def close(self, drain: bool = True) -> None:
         """Stop admitting requests; by default wait for queued work to finish."""
         self.queue.close()
         if drain:
-            self._scheduler.join()
+            self._dispatcher.join()
 
     def __enter__(self) -> "ExplanationService":
         return self.start()
@@ -362,7 +349,7 @@ class ExplanationService:
             self.stats.record_hit(kind)
             future: Future = Future()
             future.set_result(self._present(kind, value))
-            self.stats.record_completed(0.0)
+            self.stats.record_completed()
             self.stats.record_request(kind, lookup_seconds)
             return future
         deadline_ms = deadline_ms if deadline_ms is not None else self.config.default_deadline_ms
@@ -393,7 +380,7 @@ class ExplanationService:
             return
         now = time.monotonic()
         latency = now - request.enqueued_at
-        self.stats.record_completed(latency)
+        self.stats.record_completed()
         self.stats.record_request(request.kind, latency)
         # Stages and spans are recorded *before* the future resolves so a
         # caller that sees the result and immediately pulls the trace is
@@ -506,11 +493,6 @@ class ExplanationService:
         execution_started = time.monotonic()
         for request in batch:
             request.started_at = execution_started
-        if self._per_worker:
-            # Dispatcher mode already counted this cycle via on_gather;
-            # both modes therefore record the raw gathered size, keeping
-            # the occupancy metric comparable across schedulers.
-            self.stats.record_batch(len(batch))
 
         live = [request for request in batch if not self._try_resolve(request, token)]
 
@@ -557,19 +539,17 @@ class ExplanationService:
         gathers matched-neighbour sets, explains every cache-missing pair
         through the engine's shared path-embedding store and constructs
         the ADGs in one pass — bit-identical to pair-at-a-time oracle
-        calls (which remain the fallback when a batch contains a
-        poisonous pair, and the only path in ``per-worker`` mode).
+        calls, which remain the fallback when a batch contains a
+        poisonous pair.
         """
-        computed: dict[tuple[str, str], float] | None = None
-        if not self._per_worker:
-            pairs = list(dict.fromkeys(request.pair for request in requests))
-            try:
-                computed = backend.repairer.confidence_batch(pairs, reference)
-            except Exception:
-                # Isolate the poisonous pair: fall back to one-by-one so a
-                # single bad request (e.g. an entity unknown to the model)
-                # fails alone.
-                computed = None
+        pairs = list(dict.fromkeys(request.pair for request in requests))
+        try:
+            computed = backend.repairer.confidence_batch(pairs, reference)
+        except Exception:
+            # Isolate the poisonous pair: fall back to one-by-one so a
+            # single bad request (e.g. an entity unknown to the model)
+            # fails alone.
+            computed = None
         if computed is not None:
             for pair, value in computed.items():
                 self.cache.put(CONFIDENCE, pair, token, value)
@@ -736,35 +716,16 @@ class ExEAClient:
     def __init__(
         self,
         service: ExplanationService,
-        trace_sample_rate: float | None = None,
-        sample_seed: int | None = None,
         tail_sampler: TailSampler | None = None,
     ) -> None:
         self.service = service
-        #: head-based sampling rate of ``traced()``; defaults to the
-        #: service config's ``trace_sample_rate``
-        if trace_sample_rate is None:
-            trace_sample_rate = service.config.trace_sample_rate
-        if not 0.0 <= trace_sample_rate <= 1.0:
-            raise ValueError("trace_sample_rate must be within [0, 1]")
-        self._trace_sample_rate = trace_sample_rate
-        self._sample_random = random.Random(sample_seed)
-        #: tail-based sampling: when set, it replaces the head-based
-        #: rate — ``traced()`` traces the sampler's fraction of requests
-        #: as *pending* and keeps/drops at completion (slow, errored,
-        #: retried, or baseline).  Never affects results.
+        #: tail-based sampling: when set, ``traced()`` traces the
+        #: sampler's fraction of requests as *pending* and keeps/drops
+        #: at completion (slow, errored, retried, or baseline); unset,
+        #: every ``traced()`` call is traced.  Never affects results.
         self.tail_sampler = tail_sampler
         #: client-side span ring: one ``client_send`` span per traced call
         self.tracer = SpanRecorder(512)
-
-    def _sample(self) -> bool:
-        """Head-based sampling decision for one root trace."""
-        rate = self._trace_sample_rate
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0:
-            return False
-        return self._sample_random.random() < rate
 
     # ------------------------------------------------------------------
     def traced(
@@ -772,22 +733,21 @@ class ExEAClient:
     ) -> tuple[object, TraceContext]:
         """Run one traced operation; returns ``(result, trace_context)``.
 
-        Mints a root :class:`TraceContext` — sampled per the head-based
-        ``trace_sample_rate`` decided here, at the root, so every layer
-        downstream agrees — submits the request under it (the service
-        records its stage spans into its own ring when sampled), and
-        records the enveloping ``client_send`` span — submit to result —
-        into this client's ring.  Feed the context's ``trace_id`` to
-        :meth:`trace_timeline` for the stitched per-request view.
+        Mints a root :class:`TraceContext`, submits the request under it
+        (the service records its stage spans into its own ring when
+        sampled), and records the enveloping ``client_send`` span —
+        submit to result — into this client's ring.  Feed the context's
+        ``trace_id`` to :meth:`trace_timeline` for the stitched
+        per-request view.
 
-        With a :class:`TailSampler` attached, the sampled fraction is the
-        sampler's and the keep/drop decision moves to completion: slow,
-        errored or retried requests are kept (and their spans pinned in
-        every ring), fast clean ones are dropped on the spot bar the
-        configured baseline fraction.
+        Without a :class:`TailSampler` every call is sampled.  With one
+        attached, the sampled fraction is the sampler's and the keep/drop
+        decision moves to completion: slow, errored or retried requests
+        are kept (and their spans pinned in every ring), fast clean ones
+        are dropped on the spot bar the configured baseline fraction.
         """
         sampler = self.tail_sampler
-        sampled = sampler.begin() if sampler is not None else self._sample()
+        sampled = sampler.begin() if sampler is not None else True
         trace = new_trace(sampled=sampled)
         started = time.perf_counter()
         try:

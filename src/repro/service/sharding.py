@@ -305,9 +305,8 @@ class ShardedExplanationService:
     def stats_snapshot(self) -> dict:
         """Aggregate + per-shard telemetry.
 
-        ``overall`` merges every shard's counters and pools their latency
-        reservoirs (including the ``shard_imbalance.request_share``
-        summary) and adds a ``shard_imbalance.pair_count`` summary over
+        ``overall`` merges every shard's counters and histograms
+        (including the ``shard_imbalance.request_share`` summary) and adds a ``shard_imbalance.pair_count`` summary over
         the partition sizes; ``per_shard`` keeps one full snapshot per
         shard so imbalanced partitions (hit rate, occupancy, p50/p95
         skew) stay visible.
@@ -331,13 +330,8 @@ class ShardedExEAClient(ExEAClient):
     the sharded service's ``submit``), plus shard introspection helpers.
     """
 
-    def __init__(
-        self,
-        service: ShardedExplanationService,
-        trace_sample_rate: float | None = None,
-        sample_seed: int | None = None,
-    ) -> None:
-        super().__init__(service, trace_sample_rate, sample_seed)
+    def __init__(self, service: ShardedExplanationService) -> None:
+        super().__init__(service)
 
     def shard_of(self, source: str, target: str) -> int:
         """Which shard serves this pair."""

@@ -1,4 +1,4 @@
-"""Service telemetry: counters, cache hit rate, batch occupancy, latency percentiles.
+"""Service telemetry: counters, cache hit rate, batch occupancy, latency histograms.
 
 Cache hits and misses are additionally attributed to the *operation* that
 made them (explain / confidence / verify).  This is what makes a
@@ -6,10 +6,12 @@ made them (explain / confidence / verify).  This is what makes a
 cache hit under its own ``verify`` counter even though the cached raw
 value lives under the ``confidence`` cache key.
 
-:func:`merge_stats` combines the stats of several shards into one overall
-snapshot — counters are summed, the latency reservoirs are pooled before
-the percentiles are taken — which is how the sharded service reports
-"overall" figures next to its per-shard rows.
+Latency lives in the fixed-ladder histograms of ``stages``; the snapshot's
+``p50_ms``/``p95_ms`` are estimates from the whole-request ``request``
+histogram.  :func:`merge_stats` combines the stats of several shards into
+one overall snapshot — counters and histogram buckets are summed, so the
+merge is exact — which is how the sharded service reports "overall"
+figures next to its per-shard rows.
 """
 
 from __future__ import annotations
@@ -78,27 +80,17 @@ class WireCounters:
             }
 
 
-def _percentile(sorted_values: list[float], quantile: float) -> float:
-    """Nearest-rank percentile of an already-sorted list (0.0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    position = int(round(quantile * (len(sorted_values) - 1)))
-    return sorted_values[position]
-
-
 class ServiceStats:
     """Thread-safe counters describing one service's traffic.
 
     Everything is recorded under one lock; reads go through
     :meth:`snapshot`, which derives the aggregate figures (hit rate, mean
-    batch occupancy, p50/p95 latency) from the raw counters so the hot
-    path only ever increments integers.
+    batch occupancy, p50/p95 latency) from the raw counters and
+    histograms so the hot path only ever increments integers.
     """
 
-    def __init__(self, latency_reservoir: int = 100_000) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._latency_reservoir = latency_reservoir
-        self._latency_position = 0
         self.submitted = 0
         self.completed = 0
         self.failed = 0
@@ -133,10 +125,10 @@ class ServiceStats:
         #: shard server aggregates every connection into this object)
         self.wire = WireCounters()
         #: per-stage log-bucketed duration histograms (queue / batch /
-        #: engine / cache / wire_encode / wire_decode); fixed shared
-        #: bucket ladder, so fleet merges are exact
+        #: engine / cache / wire_encode / wire_decode, plus the
+        #: whole-request ``request`` ones); fixed shared bucket ladder,
+        #: so fleet merges are exact
         self.stages = MetricsRegistry()
-        self._latencies: list[float] = []
 
     # ------------------------------------------------------------------
     def record_submitted(self) -> None:
@@ -210,20 +202,10 @@ class ServiceStats:
             if size > self.max_batch_size:
                 self.max_batch_size = size
 
-    def record_completed(self, latency_seconds: float) -> None:
-        """Count a completion; latencies go into a ring of the most recent N.
-
-        A ring buffer (not a first-N truncation) so the percentile
-        estimates track *current* traffic on long-lived services —
-        warm-up latencies age out instead of dominating forever.
-        """
+    def record_completed(self) -> None:
+        """Count one request resolved with a result (its latency goes to :meth:`record_request`)."""
         with self._lock:
             self.completed += 1
-            if len(self._latencies) < self._latency_reservoir:
-                self._latencies.append(latency_seconds)
-            else:
-                self._latencies[self._latency_position] = latency_seconds
-                self._latency_position = (self._latency_position + 1) % self._latency_reservoir
 
     def record_stage(self, stage: str, seconds: float) -> None:
         """Record one per-stage duration into its log-bucketed histogram.
@@ -239,10 +221,9 @@ class ServiceStats:
 
         Lands in the ``request`` histogram plus a per-operation
         ``request.<kind>`` histogram — the fixed-ladder, exactly
-        fleet-mergeable latency distribution the SLO engine evaluates
-        per-operation objectives against (the flat reservoir behind
-        ``p95_ms`` cannot be merged exactly and keeps only recent
-        samples).
+        fleet-mergeable latency distribution behind the snapshot's
+        ``p50_ms``/``p95_ms`` and the SLO engine's per-operation
+        objectives.
         """
         self.stages.observe("request", seconds)
         self.stages.observe(f"request.{kind}", seconds)
@@ -253,8 +234,13 @@ class ServiceStats:
             self.slow_requests += 1
 
     # ------------------------------------------------------------------
-    def _raw(self) -> tuple[dict, list[float]]:
-        """Copy of the raw counters and latency samples (caller gets fresh objects)."""
+    def raw(self) -> dict:
+        """Copy of the raw counters and histograms (caller gets fresh objects).
+
+        This is what the remote transport ships over the wire (the
+        ``--stats-json`` equivalent): raw parts merge exactly, whereas
+        derived figures (hit rates, percentiles) generally do not.
+        """
         with self._lock:
             counters = {
                 "submitted": self.submitted,
@@ -275,34 +261,25 @@ class ServiceStats:
                 "invalidation": dict(self.invalidation),
                 "wire": self.wire.raw(),
             }
-            latencies = list(self._latencies)
         # The registry has its own locks; taken outside the stats lock.
         counters["stages"] = self.stages.raw()
-        return counters, latencies
-
-    def raw(self) -> tuple[dict, list[float]]:
-        """Public copy of the raw counters and latency samples.
-
-        This is what the remote transport ships over the wire (the
-        ``--stats-json`` equivalent): raw parts merge exactly, whereas
-        derived figures (hit rates, percentiles) generally do not.
-        """
-        return self._raw()
+        return counters
 
     def snapshot(self) -> dict:
         """Aggregate view of the counters (safe to call while serving)."""
-        counters, latencies = self._raw()
-        return _derive_snapshot(counters, latencies)
+        return _derive_snapshot(self.raw())
 
 
-def _derive_snapshot(counters: dict, latencies: list[float]) -> dict:
-    """Turn raw counters + latency samples into the reported snapshot.
+def _derive_snapshot(counters: dict) -> dict:
+    """Turn raw counters into the reported snapshot.
 
     Tolerant of raw parts from version-skewed peers: keys a peer's
     release predates (``wire``, ``stages``) are simply absent from its
-    part and the derived figures treat them as zeros.
+    part and the derived figures treat them as zeros.  ``p50_ms`` and
+    ``p95_ms`` repeat ``stage_latency_ms["request"]``: estimates from the
+    since-start request histogram, within one doubling bucket of the
+    true value.
     """
-    latencies = sorted(latencies)
     hits_by_kind = counters.get("hits_by_kind", {})
     misses_by_kind = counters.get("misses_by_kind", {})
     lookups = counters.get("cache_hits", 0) + counters.get("cache_misses", 0)
@@ -320,6 +297,7 @@ def _derive_snapshot(counters: dict, latencies: list[float]) -> dict:
         for stage, raw in stages.items()
         if isinstance(raw, dict)
     }
+    request = stage_latency_ms.get("request", {})
     snapshot = {
         key: value
         for key, value in counters.items()
@@ -335,9 +313,8 @@ def _derive_snapshot(counters: dict, latencies: list[float]) -> dict:
             ),
             "per_operation": per_operation,
             "stage_latency_ms": stage_latency_ms,
-            "p50_ms": _percentile(latencies, 0.50) * 1000.0,
-            "p95_ms": _percentile(latencies, 0.95) * 1000.0,
-            "latency_samples": len(latencies),
+            "p50_ms": request.get("p50_ms", 0.0),
+            "p95_ms": request.get("p95_ms", 0.0),
         }
     )
     return snapshot
@@ -366,19 +343,19 @@ def imbalance_summary(values: Iterable[float]) -> dict:
 def merge_stats(stats: Iterable[ServiceStats]) -> dict:
     """One overall snapshot across several :class:`ServiceStats` objects.
 
-    Counters are summed, the per-operation attribution is merged, and the
-    latency reservoirs are pooled so the overall p50/p95 reflect every
-    shard's requests (``max_batch_size`` takes the max, as it is a high
+    Counters and histogram buckets are summed and the per-operation
+    attribution is merged, so the overall p50/p95 reflect every shard's
+    requests (``max_batch_size`` takes the max, as it is a high
     watermark rather than a sum).  The result carries a
     ``shard_imbalance.request_share`` summary (max/mean submitted across
     the merged parts) so a skewed partition is visible in the overall
     row, not only by eyeballing the per-shard ones.
     """
-    return merge_raw(shard_stats._raw() for shard_stats in stats)
+    return merge_raw(shard_stats.raw() for shard_stats in stats)
 
 
-def merge_raw(parts: Iterable[tuple[dict, list[float]]]) -> dict:
-    """Merge raw ``(counters, latencies)`` parts into one overall snapshot.
+def merge_raw(parts: Iterable[dict]) -> dict:
+    """Merge raw counters parts (:meth:`ServiceStats.raw`) into one overall snapshot.
 
     The raw-parts form of :func:`merge_stats`: this is what the remote
     transport uses to aggregate the per-process stats payloads fetched
@@ -389,18 +366,15 @@ def merge_raw(parts: Iterable[tuple[dict, list[float]]]) -> dict:
     merges.
     """
     total: dict | None = None
-    all_latencies: list[float] = []
     per_part_submitted: list[int] = []
-    for counters, latencies in parts:
-        all_latencies.extend(latencies)
+    for counters in parts:
         per_part_submitted.append(counters.get("submitted", 0))
         if total is None:
             total = {}
         _merge_counters(total, counters)
     if total is None:
-        empty = ServiceStats(latency_reservoir=1)
-        total, all_latencies = empty._raw()
-    snapshot = _derive_snapshot(total, all_latencies)
+        total = ServiceStats().raw()
+    snapshot = _derive_snapshot(total)
     snapshot["shard_imbalance"] = {"request_share": imbalance_summary(per_part_submitted)}
     return snapshot
 

@@ -1,20 +1,14 @@
-"""Thread-based worker pools executing request batches.
+"""Executor threads running the batches the dispatcher packs.
 
-Since the dispatcher refactor there are two pool flavours:
+Each worker owns a private inbox and blocks on it; the central
+:class:`~repro.service.dispatch.Dispatcher` acquires an idle worker and
+assigns it a packed batch.  Workers never touch the request queue and
+never make batching decisions.
 
-* :class:`WorkerPool` — pure executors.  Each worker owns a private inbox
-  and blocks on it; the central :class:`~repro.service.dispatch.Dispatcher`
-  acquires an idle worker and assigns it a packed batch.  Workers never
-  touch the request queue and never make batching decisions.
-* :class:`MicroBatchWorkerPool` — the PR-2 scheduling model, kept as the
-  benchmark baseline (``ServiceConfig(scheduler="per-worker")``): every
-  worker runs its own :class:`~repro.service.batching.MicroBatcher` loop
-  over the shared queue, so batches never cross workers.
-
-Either way each worker id indexes one private engine backend in the
-owning service (the engine's caches are deliberately single-threaded);
-sharing read-only state (KG memo tables, the model's matrices) across
-workers is safe, mutating engine state is not.
+Each worker id indexes one private engine backend in the owning service
+(the engine's caches are deliberately single-threaded); sharing
+read-only state (KG memo tables, the model's matrices) across workers is
+safe, mutating engine state is not.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ import queue
 import threading
 from typing import Callable
 
-from .batching import MicroBatcher, ServiceRequest
+from .batching import ServiceRequest
 
 BatchHandler = Callable[[int, list[ServiceRequest]], None]
 
@@ -41,7 +35,7 @@ def _fail_batch(batch: list[ServiceRequest], error: BaseException) -> None:
 
 
 class WorkerPool:
-    """Fixed pool of daemon executor threads fed through per-worker inboxes."""
+    """Fixed pool of daemon executor threads, each fed through its own inbox."""
 
     def __init__(self, num_workers: int, handler: BatchHandler) -> None:
         self.num_workers = num_workers
@@ -97,50 +91,6 @@ class WorkerPool:
 
     def join(self, timeout: float | None = None) -> None:
         """Wait for every worker to exit (send :meth:`shutdown` first)."""
-        for thread in self._threads:
-            thread.join(timeout)
-
-    @property
-    def alive(self) -> bool:
-        """True while any worker thread is still running."""
-        return any(thread.is_alive() for thread in self._threads)
-
-
-class MicroBatchWorkerPool:
-    """The PR-2 pool: each worker loops its own batcher over the shared queue."""
-
-    def __init__(self, num_workers: int, batcher: MicroBatcher, handler: BatchHandler) -> None:
-        self.num_workers = num_workers
-        self.batcher = batcher
-        self.handler = handler
-        self._threads: list[threading.Thread] = []
-
-    def start(self) -> None:
-        """Start every worker's batcher loop (idempotent)."""
-        if self._threads:
-            return
-        for worker_id in range(self.num_workers):
-            thread = threading.Thread(
-                target=self._run,
-                args=(worker_id,),
-                name=f"repro-service-worker-{worker_id}",
-                daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-
-    def _run(self, worker_id: int) -> None:
-        while True:
-            batch = self.batcher.next_batch()
-            if not batch:
-                return
-            try:
-                self.handler(worker_id, batch)
-            except BaseException as error:  # noqa: BLE001 - must not kill the worker
-                _fail_batch(batch, error)
-
-    def join(self, timeout: float | None = None) -> None:
-        """Wait for every worker to exit (the queue must be closed first)."""
         for thread in self._threads:
             thread.join(timeout)
 

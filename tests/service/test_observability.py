@@ -3,9 +3,10 @@
 Four layers of coverage:
 
 * **Units** — trace-context and span wire round-trips,
-  log-bucketed histogram merge/quantile behaviour, the latency ring's
-  wraparound and percentile edge cases, and heterogeneous-snapshot
-  tolerance in ``merge_raw`` (version-skewed peers).
+  log-bucketed histogram merge/quantile behaviour, p50/p95 from the
+  request histogram, heterogeneous-snapshot tolerance in ``merge_raw``
+  (version-skewed peers), and the exact-merge laws (order, grouping,
+  missing keys) over hypothesis-generated parts.
 * **In-process tracing** — a traced request through a real
   `ExplanationService` yields queue/batch/engine spans whose durations
   sum to (nearly) the client-observed latency; cache hits and the
@@ -151,38 +152,43 @@ class TestHistogram:
 
 
 # ----------------------------------------------------------------------
-# ServiceStats: latency ring + heterogeneous merging
+# ServiceStats: p50/p95 from the request histogram + heterogeneous merging
 # ----------------------------------------------------------------------
-class TestServiceStatsReservoir:
-    def test_ring_wraps_around_keeping_most_recent(self):
-        stats = ServiceStats(latency_reservoir=5)
-        for value in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0):
-            stats.record_completed(value)
-        _, latencies = stats.raw()
-        assert len(latencies) == 5
-        # 6.0 and 7.0 overwrote the oldest slots (1.0, 2.0).
-        assert sorted(latencies) == [3.0, 4.0, 5.0, 6.0, 7.0]
-        assert stats.snapshot()["completed"] == 7
+def _bucket_ms(seconds: float) -> tuple[float, float]:
+    """The ``(lower, upper]`` bounds, in ms, of the ladder bucket holding *seconds*."""
+    index = next(index for index, bound in enumerate(BUCKET_BOUNDS) if seconds <= bound)
+    return BUCKET_BOUNDS[index - 1] * 1000.0, BUCKET_BOUNDS[index] * 1000.0
 
+
+def _completed_request(stats: ServiceStats, seconds: float) -> None:
+    """Record one finished request the way the service does."""
+    stats.record_completed()
+    stats.record_request(EXPLAIN, seconds)
+
+
+class TestServiceStatsReservoir:
     def test_percentiles_with_zero_and_one_sample(self):
         empty = ServiceStats()
         assert empty.snapshot()["p50_ms"] == 0.0
         assert empty.snapshot()["p95_ms"] == 0.0
         single = ServiceStats()
-        single.record_completed(0.25)
+        _completed_request(single, 0.25)
         snapshot = single.snapshot()
-        assert snapshot["p50_ms"] == pytest.approx(250.0)
-        assert snapshot["p95_ms"] == pytest.approx(250.0)
-        assert snapshot["latency_samples"] == 1
+        lower, upper = _bucket_ms(0.25)
+        assert (lower, upper) == pytest.approx((131.072, 262.144))
+        assert lower < snapshot["p50_ms"] <= upper
+        assert lower < snapshot["p95_ms"] <= upper
+        assert snapshot["completed"] == 1
 
-    def test_percentiles_at_exact_reservoir_boundary(self):
-        stats = ServiceStats(latency_reservoir=100)
-        for index in range(100):  # exactly fills the ring, no wraparound
-            stats.record_completed((index + 1) / 1000.0)
+    def test_snapshot_percentiles_are_the_request_histograms(self):
+        stats = ServiceStats()
+        for index in range(100):
+            _completed_request(stats, (index + 1) / 1000.0)
         snapshot = stats.snapshot()
-        assert snapshot["latency_samples"] == 100
-        assert snapshot["p50_ms"] == pytest.approx(51.0)  # nearest rank of 1..100 ms
-        assert snapshot["p95_ms"] == pytest.approx(95.0, abs=2.0)
+        request = snapshot["stage_latency_ms"]["request"]
+        assert request["count"] == 100
+        assert snapshot["p50_ms"] == request["p50_ms"]
+        assert snapshot["p95_ms"] == request["p95_ms"]
 
     def test_merge_raw_tolerates_version_skewed_parts(self):
         modern = ServiceStats()
@@ -195,22 +201,21 @@ class TestServiceStatsReservoir:
             "stages": {"quantum": {"counts": [1], "sum": 0.1, "count": 1}},
             "novel_counter": 7,
         }
-        merged = merge_raw(
-            [modern.raw(), (legacy_counters, [0.5]), (future_counters, [])]
-        )
+        merged = merge_raw([modern.raw(), legacy_counters, future_counters])
         assert merged["submitted"] == 5
         assert merged["wire"]["bytes_sent"] == 100
         assert merged["novel_counter"] == 7
         assert merged["stage_latency_ms"]["engine"]["count"] == 1
         assert merged["stage_latency_ms"]["quantum"]["count"] == 1
 
-    def test_merge_raw_pools_latency_reservoirs(self):
+    def test_merge_raw_merges_request_histograms(self):
         first, second = ServiceStats(), ServiceStats()
-        first.record_completed(0.010)
-        second.record_completed(0.030)
+        _completed_request(first, 0.010)
+        _completed_request(second, 0.030)
         merged = merge_raw([first.raw(), second.raw()])
-        assert merged["latency_samples"] == 2
-        assert merged["p95_ms"] == pytest.approx(30.0)
+        assert merged["completed"] == 2
+        lower, upper = _bucket_ms(0.030)
+        assert lower < merged["p95_ms"] <= upper
 
 
 # ----------------------------------------------------------------------
@@ -336,18 +341,13 @@ class TestExactMergeLaws:
     @settings(max_examples=100, deadline=None)
     @given(STATS_EVENTS, STATS_EVENTS, st.integers(0, len(BUCKET_BOUNDS) + 1))
     def test_merge_raw_reads_missing_and_short_parts_as_zeros(self, first, second, cut):
-        modern, modern_latencies = _replay_stats(first).raw()
-        other, other_latencies = _replay_stats(second).raw()
+        modern = _replay_stats(first).raw()
+        other = _replay_stats(second).raw()
         # An older peer: no `stages`/`wire` keys at all ...
         legacy = {key: value for key, value in other.items() if key not in ("stages", "wire")}
         zeroed = {**legacy, "stages": {}, "wire": {key: 0 for key in other["wire"]}}
-        for parts in (
-            [(modern, modern_latencies), (legacy, other_latencies)],
-            [(legacy, other_latencies), (modern, modern_latencies)],
-        ):
-            expected = [(zeroed, latencies) if counters is legacy else (counters, latencies)
-                        for counters, latencies in parts]
-            assert merge_raw(parts) == merge_raw(expected)
+        assert merge_raw([modern, legacy]) == merge_raw([modern, zeroed])
+        assert merge_raw([legacy, modern]) == merge_raw([zeroed, modern])
         # ... or histograms on a shorter bucket ladder.
         short = {
             **other,
@@ -356,10 +356,7 @@ class TestExactMergeLaws:
                 for name, raw in other["stages"].items()
             },
         }
-        full_parts = [(modern, modern_latencies), (other, other_latencies)]
-        assert merge_raw([*full_parts, (short, other_latencies)]) == merge_raw(
-            [*full_parts, (other, other_latencies)]
-        )
+        assert merge_raw([modern, other, short]) == merge_raw([modern, other, other])
 
 
 # ----------------------------------------------------------------------
@@ -661,7 +658,7 @@ class TestPrometheusText:
     def test_renders_counters_gauges_and_histograms(self):
         stats = ServiceStats()
         stats.record_submitted()
-        stats.record_completed(0.002)
+        stats.record_completed()
         stats.record_hit(EXPLAIN)
         stats.record_miss(CONFIDENCE)
         stats.record_stage("engine", 0.002)

@@ -84,19 +84,6 @@ class TestShardedEquivalence:
                         expected_confidence[pair] > service.verify_threshold
                     )
 
-    def test_per_worker_scheduler_still_equivalent(self, fitted_model, service_dataset):
-        """The PR-2 baseline path must keep serving identical results."""
-        pairs = predicted_pairs(fitted_model, limit=8)
-        direct = ExEA(fitted_model, service_dataset)
-        reference = direct.reference_alignment()
-
-        config = ServiceConfig(scheduler="per-worker", num_workers=2)
-        with ShardedExplanationService(fitted_model, service_dataset, config) as service:
-            client = ShardedExEAClient(service)
-            for pair in pairs:
-                assert client.explain(*pair) == direct.explain(*pair)
-                assert client.confidence(*pair) == direct.repairer.confidence(*pair, reference)
-
 
 # ----------------------------------------------------------------------
 # Per-shard admission control and deadlines
