@@ -365,16 +365,12 @@ def merge_raw(parts: Iterable[dict]) -> dict:
     feed several aggregations — e.g. a cluster's overall *and* per-shard
     merges.
     """
-    total: dict | None = None
+    total: dict = {}
     per_part_submitted: list[int] = []
     for counters in parts:
         per_part_submitted.append(counters.get("submitted", 0))
-        if total is None:
-            total = {}
         _merge_counters(total, counters)
-    if total is None:
-        total = ServiceStats().raw()
-    snapshot = _derive_snapshot(total)
+    snapshot = _derive_snapshot(total if per_part_submitted else ServiceStats().raw())
     snapshot["shard_imbalance"] = {"request_share": imbalance_summary(per_part_submitted)}
     return snapshot
 

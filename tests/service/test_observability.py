@@ -313,10 +313,9 @@ class TestExactMergeLaws:
             assert merge_raw(order) == merged
         assert parts == untouched
         # High watermarks take the max, everything else sums.
-        batch_sizes = [size for events in (first, second, third)
-                       for name, *args in events if name == "batch" for size in args]
-        blasts = [args[2] for events in (first, second, third)
-                  for name, *args in events if name == "scoped"]
+        events = first + second + third
+        batch_sizes = [args[0] for name, *args in events if name == "batch"]
+        blasts = [args[2] for name, *args in events if name == "scoped"]
         assert merged["max_batch_size"] == max(batch_sizes, default=0)
         assert merged["invalidation"]["max_blast_entities"] == max(blasts, default=0)
 
