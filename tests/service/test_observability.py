@@ -32,6 +32,7 @@ from repro.core import ExEA
 from repro.service import (
     CONFIDENCE,
     EXPLAIN,
+    VERIFY,
     ClusterClient,
     ExEAClient,
     ExplanationService,
@@ -225,7 +226,7 @@ class TestServiceStatsReservoir:
 #: them are exact in binary floating point, so merge order and grouping
 #: cannot change a histogram ``sum`` and the laws below hold exactly.
 DYADIC_SECONDS = st.integers(min_value=0, max_value=2**24).map(lambda k: k / 2**20)
-_KINDS = (EXPLAIN, CONFIDENCE, "verify")
+_KINDS = (EXPLAIN, CONFIDENCE, VERIFY)
 _STAGES = ("cache", "queue", "batch", "engine")
 
 #: One recorded event of a ServiceStats (name, *arguments).
