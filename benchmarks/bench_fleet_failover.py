@@ -1,7 +1,7 @@
-"""Fleet-autonomy benchmark: failover, lease revocation, online rebalance.
+"""Fleet benchmark: zone-aware failover and lease revocation.
 
 One subprocess cluster (2 shards x 2 replicas, zone labels ``east``/``west``)
-lives through the full autonomy story while a replay workload keeps flowing:
+lives through two faults while a replay workload keeps flowing:
 
 1. **Baseline** — replay against the healthy fleet (p50/p95 floor).
 2. **Hard kill** — SIGKILL one replica mid-replay; every request must
@@ -10,13 +10,10 @@ lives through the full autonomy story while a replay workload keeps flowing:
 3. **Half-dead replica** — SIGSTOP a replica past its lease TTL; the
    manager must revoke the lease (time-to-revoke) and restore it after
    SIGCONT (time-to-restore), with traffic unharmed either way.
-4. **Online rebalance** — hammer one shard until the manager plans and
-   completes a slot migration (time-to-migrate), then re-read the hot
-   pairs through the moved routing.
 
 Hard invariant at any speed: every answer — before, during, and after
 every fault — is bit-identical to an in-process run of the same
-snapshot.  Autonomy must never cost a bit of correctness.
+snapshot.  Failover must never cost a bit of correctness.
 
 Run directly (``python bench_fleet_failover.py [--quick]``) or via
 pytest.  ``--quick`` is the CI smoke mode: tiny workloads, no numeric
@@ -45,20 +42,17 @@ from repro.service import (  # noqa: E402
     CONFIDENCE,
     EXPLAIN,
     ExEAClient,
-    RebalanceConfig,
     ReplicatedLocalCluster,
     ServiceConfig,
     ShardedExplanationService,
-    WeightConfig,
 )
-from repro.service.sharding import ShardRouter  # noqa: E402
 
 ARTIFACT = Path(__file__).parent / "BENCH_service.json"
 
 NUM_PAIRS = 40
 BASELINE_REQUESTS = 600
 FAILOVER_REQUESTS = 400
-#: Manager cadence: fast probes so the control loops converge in seconds.
+#: Manager cadence: fast probes so lease decisions land in seconds.
 PROBE_INTERVAL = 0.1
 LEASE_TTL = 1.0
 FLEET_SCALE = ExperimentScale(dataset_scale=1.0, embedding_dim=24, seed=1)
@@ -117,8 +111,8 @@ def _counters(cluster) -> dict:
     return cluster.manager.fleet_snapshot()["counters"]
 
 
-def _wait_for(predicate, deadline_seconds: float, tick=None) -> float:
-    """Poll *predicate* (optionally driving *tick*); return elapsed seconds.
+def _wait_for(predicate, deadline_seconds: float) -> float:
+    """Poll *predicate*; return elapsed seconds.
 
     Returns ``-1.0`` on deadline — callers record the miss instead of
     hanging the whole benchmark run.
@@ -127,8 +121,6 @@ def _wait_for(predicate, deadline_seconds: float, tick=None) -> float:
     while time.perf_counter() - start < deadline_seconds:
         if predicate():
             return time.perf_counter() - start
-        if tick is not None:
-            tick()
         time.sleep(PROBE_INTERVAL / 2)
     return -1.0
 
@@ -165,42 +157,11 @@ def _lease_leg(cluster, client, workload, expected) -> dict:
     }
 
 
-def _rebalance_leg(cluster, client, hot_pairs, expected_hot, deadline: float) -> dict:
-    """Hammer the hot shard until a slot migration completes."""
-
-    def _drive():
-        # Enough hot requests per stats window to clear the planner's
-        # min_requests floor even with a handful of pairs.
-        for _ in range(max(1, 40 // len(hot_pairs))):
-            for source, target in hot_pairs:
-                client.explain(source, target)
-
-    migrate_seconds = _wait_for(
-        lambda: _counters(cluster)["migrations_completed"] >= 1,
-        deadline_seconds=deadline,
-        tick=_drive,
-    )
-    # Post-migration read of every hot pair through the moved routing.
-    moved = [client.explain(*pair) for pair in hot_pairs]
-    return {
-        "migrate_seconds": migrate_seconds,
-        "migrations_completed": _counters(cluster)["migrations_completed"],
-        "slots_moved": client.routing_snapshot()["slots_moved"],
-        "hot_pairs_identical": sum(
-            1 for got, want in zip(moved, expected_hot) if got == want
-        ),
-        "hot_pairs": len(hot_pairs),
-    }
-
-
 def test_fleet_failover(benchmark, quick):
     dataset, model = _fixtures()
     pairs = sample_correct_pairs(
         model, dataset, 12 if quick else NUM_PAIRS, seed=FLEET_SCALE.seed
     )
-    router = ShardRouter(2)
-    hot_pairs = [pair for pair in pairs if router.shard_of(*pair) == 0]
-    assert hot_pairs, "the sampled pairs must hit shard 0"
     baseline_n = 120 if quick else BASELINE_REQUESTS
     failover_n = 80 if quick else FAILOVER_REQUESTS
     baseline_workload = replay_workload(
@@ -217,7 +178,6 @@ def test_fleet_failover(benchmark, quick):
         local_client = ExEAClient(local)
         expected_baseline = local_client.replay(baseline_workload, timeout=120)
         expected_failover = local_client.replay(failover_workload, timeout=120)
-        expected_hot = [local_client.explain(*pair) for pair in hot_pairs]
 
     def measure():
         start = time.perf_counter()
@@ -231,10 +191,6 @@ def test_fleet_failover(benchmark, quick):
             probe_timeout=1.0,
             stats_every=2,
             lease_ttl=LEASE_TTL,
-            weights=WeightConfig(),
-            rebalance=RebalanceConfig(
-                threshold=1.2, sustain=2, min_requests=32, handoff_cycles=1
-            ),
             replica_zones=["east", "west"],
         ) as cluster:
             client = cluster.client
@@ -247,9 +203,6 @@ def test_fleet_failover(benchmark, quick):
             failover["recovery_seconds"] = time.perf_counter() - killed
 
             lease = _lease_leg(cluster, client, failover_workload, expected_failover)
-            rebalance = _rebalance_leg(
-                cluster, client, hot_pairs, expected_hot, 20.0 if quick else 45.0
-            )
             fleet = cluster.manager.fleet_snapshot()
         return {
             "workload": "fleet-failover",
@@ -263,7 +216,6 @@ def test_fleet_failover(benchmark, quick):
             "baseline": baseline,
             "failover": failover,
             "lease": lease,
-            "rebalance": rebalance,
             "counters": fleet["counters"],
             "seconds": time.perf_counter() - start,
         }
@@ -279,9 +231,7 @@ def test_fleet_failover(benchmark, quick):
     print(
         f"[fleet-failover] lease: revoked in {row['lease']['revoke_seconds']:.2f}s, "
         f"restored in {row['lease']['restore_seconds']:.2f}s "
-        f"(ttl {row['lease_ttl']:.1f}s); rebalance: first migration in "
-        f"{row['rebalance']['migrate_seconds']:.2f}s, "
-        f"{row['rebalance']['slots_moved']} slots moved"
+        f"(ttl {row['lease_ttl']:.1f}s)"
     )
 
     # Hard invariants at any speed: no fault may fail a request or flip a
@@ -289,17 +239,12 @@ def test_fleet_failover(benchmark, quick):
     assert row["baseline"]["mismatches"] == 0
     assert row["failover"]["mismatches"] == 0
     assert row["lease"]["replay_during_outage"]["mismatches"] == 0
-    assert row["rebalance"]["hot_pairs_identical"] == row["rebalance"]["hot_pairs"]
     if quick:
         return  # smoke mode: no numeric assertions, no artifact writes
     _write_row(row["workload"], row)
-    # Acceptance: the control loops actually fired — the lease was
-    # revoked and restored within a few TTLs, and at least one slot
-    # migrated online under the sustained hot-shard load.
+    # Acceptance: the lease was revoked and restored within a few TTLs.
     assert 0.0 <= row["lease"]["revoke_seconds"] <= 10 * LEASE_TTL
     assert 0.0 <= row["lease"]["restore_seconds"] <= 10 * LEASE_TTL
-    assert row["rebalance"]["migrations_completed"] >= 1
-    assert row["rebalance"]["slots_moved"] >= 1
 
 
 if __name__ == "__main__":

@@ -57,13 +57,10 @@ from .cluster import (
     ClusterClient,
     ClusterManager,
     ClusterTopology,
-    RebalanceConfig,
     ReplicaSpec,
     ReplicatedLocalCluster,
     RoutingTable,
     TopologyError,
-    WeightConfig,
-    WeightController,
     load_topology,
     parse_topology,
     topology_for_endpoints,
@@ -113,7 +110,6 @@ __all__ = [
     "ExplanationService",
     "MicroBatcher",
     "MutationSpec",
-    "RebalanceConfig",
     "RemoteOperationError",
     "ReplicaBehindError",
     "RemoteShardClient",
@@ -137,8 +133,6 @@ __all__ = [
     "SpanRecorder",
     "TopologyError",
     "TraceContext",
-    "WeightConfig",
-    "WeightController",
     "VERIFY",
     "WireCounters",
     "WorkerPool",

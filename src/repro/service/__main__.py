@@ -69,8 +69,6 @@ from .cluster import (
     ClusterClient,
     ClusterManager,
     ClusterTopology,
-    RebalanceConfig,
-    WeightConfig,
     load_topology,
     topology_for_endpoints,
 )
@@ -518,34 +516,6 @@ def build_cluster_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--adaptive-weights",
-        action="store_true",
-        help=(
-            "adapt effective replica weights from probed p95/queue skew "
-            "(EMA-smoothed, clamped, flap-damped; default: off)"
-        ),
-    )
-    parser.add_argument(
-        "--rebalance",
-        action="store_true",
-        help=(
-            "migrate pair slots between shard groups online when the request share "
-            "stays imbalanced (dual-routed handoff, atomic table flip; default: off)"
-        ),
-    )
-    parser.add_argument(
-        "--rebalance-threshold",
-        type=float,
-        default=1.25,
-        help="imbalance ratio (max shard share / mean) that counts as skewed",
-    )
-    parser.add_argument(
-        "--rebalance-sustain",
-        type=int,
-        default=3,
-        help="consecutive skewed evaluations before slots migrate",
-    )
-    parser.add_argument(
         "--shutdown",
         action="store_true",
         help="ask every replica server to exit after the replay",
@@ -564,12 +534,6 @@ def cluster_main(argv: list[str]) -> int:
         probe_interval=args.probe_interval,
         miss_threshold=args.miss_threshold,
         lease_ttl=args.lease_ttl,
-        weights=WeightConfig() if args.adaptive_weights else None,
-        rebalance=RebalanceConfig(
-            threshold=args.rebalance_threshold, sustain=args.rebalance_sustain
-        )
-        if args.rebalance
-        else None,
     )
     with ClusterClient(
         topology,

@@ -10,24 +10,18 @@ the fleet-operation layer in front of that transport:
   validated at load time.
 * :mod:`~repro.service.cluster.manager` — :class:`ClusterManager`, the
   control plane: continuous ``ping`` health checks with a
-  consecutive-miss failure detector and reconnect backoff, publishing an
-  immutable, versioned :class:`RoutingTable` of per-replica health and
-  load (queue depth, p95).
+  consecutive-miss failure detector and reconnect backoff, optional
+  liveness leases, publishing an immutable, versioned
+  :class:`RoutingTable` of per-replica health and load (queue depth, the
+  p95 of the last stats window).
 * :mod:`~repro.service.cluster.client` — :class:`ClusterClient`, the
-  exact `ExEAClient` facade routing reads to healthy replicas by load
-  score, retrying idempotent requests on a replica failing mid-flight,
-  and fanning ``invalidate()`` out to every replica of every shard.  It
+  exact `ExEAClient` facade routing each pair to its CRC-32 shard and,
+  within it, to a healthy replica by load score, retrying idempotent
+  requests on a replica failing mid-flight, and fanning
+  ``invalidate()`` out to every replica of every shard.  It
   is the one remote client: a one-replica topology
   (:func:`topology_for_endpoints`) addresses a plain process-per-shard
   fleet.
-* :mod:`~repro.service.cluster.weights` — :class:`WeightController`,
-  the adaptive-replica-weight loop: EMA-smoothed per-replica load skew
-  from the stats probes, clamped into configured bounds with flap
-  damping, published as effective routing weights.
-* :mod:`~repro.service.cluster.rebalance` — slot-addressed routing and
-  :func:`plan_rebalance`: sustained shard imbalance migrates pair slots
-  between shard groups through a dual-routing handoff window and one
-  atomic routing-table flip, bit-identical throughout.
 * :mod:`~repro.service.cluster.local` — :class:`ReplicatedLocalCluster`,
   spawning R real server subprocesses per shard from one pickled
   snapshot (tests, benchmarks, the experiment runner's
@@ -43,13 +37,6 @@ topology schema and failover semantics.
 from .client import ClusterClient, prefer_distinct_domains, replica_score
 from .local import ReplicatedLocalCluster
 from .manager import ClusterManager, ReplicaRoute, RoutingTable
-from .rebalance import (
-    RebalanceConfig,
-    SlotMigration,
-    default_slot_map,
-    plan_rebalance,
-)
-from .weights import WeightConfig, WeightController
 from .topology import (
     ClusterTopology,
     ReplicaSpec,
@@ -63,19 +50,13 @@ __all__ = [
     "ClusterClient",
     "ClusterManager",
     "ClusterTopology",
-    "RebalanceConfig",
     "ReplicaRoute",
     "ReplicaSpec",
     "ReplicatedLocalCluster",
     "RoutingTable",
-    "SlotMigration",
     "TopologyError",
-    "WeightConfig",
-    "WeightController",
-    "default_slot_map",
     "load_topology",
     "parse_topology",
-    "plan_rebalance",
     "prefer_distinct_domains",
     "replica_score",
     "topology_for_endpoints",

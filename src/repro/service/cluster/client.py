@@ -25,12 +25,10 @@ of the pair's shard instead of a single endpoint:
 * **Generation fan-out** — ``invalidate()`` drops the cache of every
   replica of every shard, because each replica process holds its own
   versioned cache.
-* **Slot routing** — pairs route through the manager's slot→shard
-  assignment (identity ≡ the classic CRC partition until a migration
-  moves a slot); per-slot routed counters feed the manager's rebalance
-  loop, and during a handoff window the failover candidate set spans
-  *both* sides of the migration (every replica serves the full
-  snapshot, so either answers bit-identically).
+* **Fixed partition** — a pair's shard is the CRC-32 partition of
+  :class:`~repro.service.sharding.ShardRouter`, the same one the
+  in-process sharded service uses; failover stays inside that shard's
+  replicas.
 * **Zone-aware failover** — after a replica fails mid-request, the
   retry prefers surviving replicas in a *different* zone than the
   failed ones: a correlated failure domain (rack power, ToR switch)
@@ -40,8 +38,8 @@ of the pair's shard instead of a single endpoint:
 Determinism is unchanged: which replica answers is a pure deployment
 decision (all replicas of a shard serve the same snapshot and the codec
 round-trips exactly), so results stay bit-identical to the in-process
-sharded service at the same shard count — through failovers, lease
-revocations and live slot migrations alike.
+sharded service at the same shard count — through failovers and lease
+revocations alike.
 
 A plain process-per-shard fleet is the one-replica case:
 ``ClusterClient(topology_for_endpoints([[a], [b]]))`` addresses shard 0
@@ -186,16 +184,15 @@ def replica_score(route: ReplicaRoute, inflight: int, ema_ms: float) -> float:
 
     Multiplies a *congestion* term (requests this client has in flight
     there plus the server's own queue depth) by a *latency* term (the
-    client's EMA of observed latency plus the server's published p95),
-    normalised by the routing weight (the topology weight, scaled by the
-    manager's adaptive factor when the weight controller is on).  Either
+    client's EMA of observed latency plus the server's published p95 of
+    its last stats window), normalised by the topology weight.  Either
     signal alone is enough to shift load: a stalled replica accumulates
     in-flight requests even before its latency samples return, and a
     merely-slow replica raises its EMA even when nothing is queued.
     """
     congestion = 1.0 + inflight + route.queue_depth
     latency = 1.0 + ema_ms + route.p95_ms
-    return congestion * latency / max(route.routing_weight, 1e-9)
+    return congestion * latency / max(route.weight, 1e-9)
 
 
 def prefer_distinct_domains(
@@ -280,11 +277,6 @@ class ClusterClient:
         self._loads = {endpoint: _ReplicaLoad() for endpoint in self._clients}
         self._rr = 0
         self._rr_lock = threading.Lock()
-        #: per-slot routed-request counters: the load signal the manager's
-        #: rebalance loop differences into per-shard request shares
-        self._slot_lock = threading.Lock()
-        self._slot_routed = [0] * self.router.num_slots
-        self.manager.attach_slot_loads(self.slot_routed_snapshot)
         #: ordered mutation log: this client is the single sequencer, so
         #: ``seq`` values are assigned monotonically here and the log is
         #: the replay source for replicas that missed entries
@@ -354,33 +346,8 @@ class ClusterClient:
     # Routing
     # ------------------------------------------------------------------
     def shard_of(self, source: str, target: str) -> int:
-        """Which shard serves this pair under the *current* routing table.
-
-        Routes through the slot layer: the pair's CRC slot looks up the
-        manager's slot→shard assignment (identity — exactly the classic
-        ``crc32 % num_shards`` partition — until a migration moves the
-        slot).  Every lookup also bumps the slot's routed counter, which
-        is the load signal the rebalance loop differences.
-        """
-        slot = self.router.slot_of(source, target)
-        with self._slot_lock:
-            self._slot_routed[slot] += 1
-        return self.manager.table().shard_for_slot(slot)
-
-    def slot_routed_snapshot(self) -> list[int]:
-        """Copy of the cumulative per-slot routed-request counters."""
-        with self._slot_lock:
-            return list(self._slot_routed)
-
-    def _candidate_shards(self, table, shard_id: int) -> tuple[int, ...]:
-        """The shards whose replicas may serve a request addressed to *shard_id*.
-
-        The primary shard first; during a migration handoff window, the
-        other side of the migration follows — the dual-routing half of
-        the online rebalance (either side serves the full snapshot, so
-        failing over across the migration is bit-identical).
-        """
-        return (shard_id, *table.handoff_peers(shard_id))
+        """Which shard serves this pair: the CRC-32 partition of :attr:`router`."""
+        return self.router.shard_of(source, target)
 
     def _select(
         self,
@@ -389,21 +356,17 @@ class ClusterClient:
         excluded: set[str],
         failed_zones: set[str] | None = None,
     ) -> ReplicaRoute | None:
-        """The best replica for a shard-addressed request, not yet tried.
+        """The best replica of *shard_id* for one request, not yet tried.
 
-        Candidates span the primary shard and (during a handoff window)
-        the migration peer.  Preference order: healthy lease-holding
-        replicas — in a distinct zone from the ones that already failed
-        this request, when possible — then healthy replicas with a
-        revoked lease, then (the detector may simply not have caught a
-        restart yet) anything left, as a last resort rather than failing
-        a request a live server could answer.  Ties break round-robin so
-        equal replicas share load.
+        Preference order: healthy lease-holding replicas — in a distinct
+        zone from the ones that already failed this request, when
+        possible — then healthy replicas with a revoked lease, then (the
+        detector may simply not have caught a restart yet) anything left,
+        as a last resort rather than failing a request a live server
+        could answer.  Ties break round-robin so equal replicas share
+        load.
         """
-        routes: list[ReplicaRoute] = []
-        for candidate_shard in self._candidate_shards(table, shard_id):
-            routes.extend(table.replicas(candidate_shard))
-        pool = [route for route in routes if route.endpoint not in excluded]
+        pool = [route for route in table.replicas(shard_id) if route.endpoint not in excluded]
         candidates = [route for route in pool if route.healthy and route.lease_ok]
         if candidates and failed_zones:
             candidates = prefer_distinct_domains(candidates, failed_zones)
@@ -462,14 +425,10 @@ class ClusterClient:
         excluded: set[str] = set()
         failed_zones: set[str] = set()
         last_error: Exception | None = None
-        # One consistent table view per request: the candidate set (and
-        # any dual-routed migration peer) cannot shift mid-failover.
+        # One consistent table view per request: the candidate set cannot
+        # shift mid-failover.
         table = self.manager.table()
-        attempts = sum(
-            len(table.replicas(candidate_shard))
-            for candidate_shard in self._candidate_shards(table, shard_id)
-        )
-        for _ in range(attempts):
+        for _ in range(len(table.replicas(shard_id))):
             route = self._select(table, shard_id, excluded, failed_zones)
             if route is None:
                 break
@@ -1047,7 +1006,6 @@ class ClusterClient:
                     "shard": route.shard_id,
                     "replica": route.replica_index,
                     "weight": route.weight,
-                    "effective_weight": route.routing_weight,
                     "healthy": route.healthy,
                     "lease_ok": route.lease_ok,
                     "zone": route.zone,
@@ -1057,16 +1015,7 @@ class ClusterClient:
                 }
                 row.update(self._loads[route.endpoint].snapshot())
                 replicas.append(row)
-        return {
-            "table_version": table.version,
-            "replicas": replicas,
-            "migrations_active": len(table.migrations),
-            "slots_moved": sum(
-                1
-                for slot, shard in enumerate(table.slot_map)
-                if shard != slot % len(table.shards)
-            ),
-        }
+        return {"table_version": table.version, "replicas": replicas}
 
     def shutdown_servers(self) -> None:
         """Ask every replica process of every shard to exit (best effort)."""

@@ -16,12 +16,10 @@ is the plain process-per-shard cluster.  Benchmarks, the experiment
 runner's ``transport="cluster"`` axis and the subprocess tests all go
 through this class.
 
-The fleet-autonomy knobs pass straight through to the manager:
-*lease_ttl* arms the lease-based liveness check, *weights* /
-*rebalance* the adaptive-weight and online-rebalance loops, and
-*replica_zones* labels replica column *r* of every shard with a failure
-domain (the usual local layout: replica 0 of each shard models zone A,
-replica 1 zone B).
+*lease_ttl* passes straight through to the manager and arms the
+lease-based liveness check; *replica_zones* labels replica column *r*
+of every shard with a failure domain for zone-aware failover (the usual
+local layout: replica 0 of each shard models zone A, replica 1 zone B).
 
 Fault injection uses the process handles directly: :meth:`kill_replica`
 (SIGKILL) crashes a replica outright, while :meth:`stop_replica` /
@@ -59,9 +57,7 @@ from .manager import (
     DEFAULT_STATS_EVERY,
     ClusterManager,
 )
-from .rebalance import RebalanceConfig
 from .topology import ClusterTopology, topology_for_endpoints
-from .weights import WeightConfig
 
 
 class ReplicatedLocalCluster:
@@ -95,8 +91,6 @@ class ReplicatedLocalCluster:
         stats_every: int = DEFAULT_STATS_EVERY,
         lease_ttl: float | None = None,
         lease_stall_cycles: int = DEFAULT_LEASE_STALL_CYCLES,
-        weights: WeightConfig | None = None,
-        rebalance: RebalanceConfig | None = None,
         replica_zones: list[str] | None = None,
     ) -> None:
         if num_shards < 1:
@@ -117,8 +111,6 @@ class ReplicatedLocalCluster:
         self.stats_every = stats_every
         self.lease_ttl = lease_ttl
         self.lease_stall_cycles = lease_stall_cycles
-        self.weights = weights
-        self.rebalance = rebalance
         self.replica_zones = list(replica_zones) if replica_zones is not None else None
         self.processes: list[ShardProcess] = []
         self.replicas: list[list[ShardProcess]] = []
@@ -206,8 +198,6 @@ class ReplicatedLocalCluster:
                 stats_every=self.stats_every,
                 lease_ttl=self.lease_ttl,
                 lease_stall_cycles=self.lease_stall_cycles,
-                weights=self.weights,
-                rebalance=self.rebalance,
             )
             self.client = ClusterClient(
                 self.topology,

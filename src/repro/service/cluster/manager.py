@@ -1,4 +1,4 @@
-"""Cluster control plane: health checking, leases, weights, rebalancing.
+"""Cluster control plane: health checking, leases and load signals.
 
 :class:`ClusterManager` continuously probes every endpoint of a
 :class:`~repro.service.cluster.topology.ClusterTopology` with the wire
@@ -13,38 +13,31 @@ discipline long-running distributed arrays apply: the monitor, not the
 request path, owns the liveness decision, and the request path consumes
 its published view.
 
-On top of the PR-5 detector this manager runs three autonomous loops
-(each off by default, each deterministic under an injected ``clock``):
+On top of the detector the manager runs one autonomous loop, off by
+default and deterministic under an injected ``clock``: **leases**.  Each
+successful ping renews a liveness lease (the server advertises the TTL
+it grants; the manager tracks expiry on its *own* clock).  A replica
+whose lease lapses — or that keeps answering pings while its admitted
+work stalls (queue depth > 0 and the completed counter frozen for
+``lease_stall_cycles`` stats cycles) — has its lease revoked: it drops
+out of preferred routing *before* the consecutive-miss detector would
+catch it, which is exactly the half-dead (SIGSTOP'd, deadlocked,
+GC-wedged) failure mode ping counts alone cannot see.
 
-* **Leases** — each successful ping renews a liveness lease (the server
-  advertises the TTL it grants; the manager tracks expiry on its *own*
-  clock).  A replica whose lease lapses — or that keeps answering pings
-  while its admitted work stalls (queue depth > 0 and the completed
-  counter frozen for ``lease_stall_cycles`` stats cycles) — has its
-  lease revoked: it drops out of preferred routing *before* the
-  consecutive-miss detector would catch it, which is exactly the
-  half-dead (SIGSTOP'd, deadlocked, GC-wedged) failure mode ping counts
-  alone cannot see.
-* **Adaptive weights** — sustained per-replica p95/queue skew from the
-  stats probes feeds a :class:`~repro.service.cluster.weights.WeightController`
-  (EMA, bounds, flap damping) whose factors scale the topology weights
-  in the published table.
-* **Online rebalancing** — per-slot routed counts from the cluster
-  client feed :func:`~repro.service.cluster.rebalance.plan_rebalance`;
-  sustained shard imbalance opens :class:`SlotMigration` handoff windows
-  (reads dual-routed donor+recipient) and, ``handoff_cycles`` later, the
-  slot map flips in one atomic table publish.
+Every ``stats_every``-th cycle also reads each replica's ``request``
+histogram and publishes the p95 of the requests recorded since the
+previous stats probe — a windowed figure, so a slow spell stops
+counting against a replica one stats cycle after it ends.
 
 That view is the :class:`RoutingTable` — an immutable snapshot, swapped
 atomically and versioned, mapping every shard to its replicas' health and
-load signals plus the slot→shard assignment and in-flight migrations.
-:class:`~repro.service.cluster.client.ClusterClient` reads the current
-table on every routing decision and never blocks on the prober; a table
-is always available because construction publishes one synchronously
-before the probe thread starts.  Every autonomous action appends a
-bounded :attr:`events` record (``lease_revoked``, ``weight_adjusted``,
-``migration_started``/``migration_completed``, …) surfaced through
-``stats_snapshot()["fleet"]`` and ``--stats-json``.
+load signals.  :class:`~repro.service.cluster.client.ClusterClient`
+reads the current table on every routing decision and never blocks on
+the prober; a table is always available because construction publishes
+one synchronously before the probe thread starts.  Lease revocations and
+restorations (and the SLO alerter's transitions) append to a bounded
+event log surfaced through ``stats_snapshot()["fleet"]`` and
+``--stats-json``.
 """
 
 from __future__ import annotations
@@ -56,19 +49,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import RemoteTransportError
+from ..observability.metrics import histogram_quantile
 from ..transport.client import RemoteShardClient
 from ..transport.framing import DEFAULT_MAX_FRAME_BYTES
 from ..transport.protocol import OP_STATS
-from .rebalance import (
-    RebalanceConfig,
-    SlotMigration,
-    default_slot_map,
-    imbalance_ratio,
-    plan_rebalance,
-    shard_loads,
-)
 from .topology import ClusterTopology
-from .weights import WeightConfig, WeightController
 
 #: Default seconds between health-probe cycles.
 DEFAULT_PROBE_INTERVAL = 0.5
@@ -78,12 +63,12 @@ DEFAULT_MISS_THRESHOLD = 3
 #: per subsequent miss up to :data:`DEFAULT_BACKOFF_MAX`.
 DEFAULT_BACKOFF_BASE = 0.5
 DEFAULT_BACKOFF_MAX = 8.0
-#: Pull the heavier ``stats`` payload (p95) every Nth probe cycle.
+#: Pull the heavier ``stats`` payload (windowed p95) every Nth probe cycle.
 DEFAULT_STATS_EVERY = 4
 #: Stats cycles of frozen progress (with queued work) before a lease is
 #: revoked for a work stall.
 DEFAULT_LEASE_STALL_CYCLES = 3
-#: Fleet events kept (lease revocations, migrations, weight moves).
+#: Fleet events kept (lease revocations and restorations, SLO alerts).
 FLEET_EVENT_CAPACITY = 256
 
 
@@ -103,18 +88,10 @@ class ReplicaRoute:
     #: Failure-domain labels from the topology (``None`` = unlabelled).
     zone: str | None = None
     rack: str | None = None
-    #: Adaptive routing weight (topology weight × controller factor);
-    #: ``None`` means "no controller — use the topology weight".
-    effective_weight: float | None = None
     #: False while the liveness lease is revoked (expired, or work
     #: stalled); such replicas leave preferred routing but remain
     #: last-resort candidates, like unhealthy ones.
     lease_ok: bool = True
-
-    @property
-    def routing_weight(self) -> float:
-        """The weight routing scores divide by (adaptive when published)."""
-        return self.weight if self.effective_weight is None else self.effective_weight
 
 
 @dataclass(frozen=True)
@@ -123,12 +100,6 @@ class RoutingTable:
 
     version: int
     shards: tuple[tuple[ReplicaRoute, ...], ...]
-    #: Slot→shard assignment (``num_shards * SLOTS_PER_SHARD`` entries);
-    #: empty means the identity assignment (``slot % num_shards`` ≡ the
-    #: classic CRC partition) — nothing has ever migrated.
-    slot_map: tuple[int, ...] = ()
-    #: Slots currently inside their dual-routing handoff window.
-    migrations: tuple[SlotMigration, ...] = ()
 
     def replicas(self, shard_id: int) -> tuple[ReplicaRoute, ...]:
         """Every replica route of one shard (healthy and not)."""
@@ -146,27 +117,23 @@ class RoutingTable:
                     return route
         raise KeyError(endpoint)
 
-    def shard_for_slot(self, slot: int) -> int:
-        """The shard that owns one routing slot under this table."""
-        if self.slot_map:
-            return self.slot_map[slot]
-        return slot % len(self.shards)
 
-    def handoff_peers(self, shard_id: int) -> tuple[int, ...]:
-        """Shards dual-routed with *shard_id* by an in-flight migration.
+def _windowed_p95_ms(previous: dict | None, current: dict) -> float:
+    """p95 (ms) of the requests one ``request`` histogram gained since *previous*.
 
-        During a handoff window reads addressed to either side of a
-        migrating slot may be served by the other side's replicas —
-        every replica serves the full snapshot, so the answer is
-        bit-identical; only cache warmth differs.
-        """
-        peers: set[int] = set()
-        for migration in self.migrations:
-            if migration.donor == shard_id:
-                peers.add(migration.recipient)
-            elif migration.recipient == shard_id:
-                peers.add(migration.donor)
-        return tuple(sorted(peers))
+    Both arguments are raw histogram forms from successive stats
+    probes.  An empty window reads 0.0.  With no previous reading, or
+    when a bucket count went down (the replica restarted), the window
+    is everything *current* holds since its start.
+    """
+    if previous:
+        window = [
+            now - then
+            for now, then in zip(current.get("counts", ()), previous.get("counts", ()))
+        ]
+        if all(delta >= 0 for delta in window):
+            return histogram_quantile({"counts": window, "count": sum(window)}, 0.95) * 1000.0
+    return histogram_quantile(current, 0.95) * 1000.0
 
 
 class _ReplicaHealth:
@@ -203,10 +170,11 @@ class _ReplicaHealth:
         self.lease_ok = True
         self.last_completed: int | None = None
         self.stall_cycles = 0
-        #: adaptive weight factor published by the controller (1.0 = none)
-        self.weight_factor = 1.0
+        #: the ``request`` histogram of the last stats probe, which the
+        #: next one differences into a windowed p95
+        self.last_request: dict | None = None
 
-    def route(self, adaptive: bool) -> ReplicaRoute:
+    def route(self) -> ReplicaRoute:
         """The immutable table row for the current state."""
         return ReplicaRoute(
             endpoint=self.endpoint,
@@ -220,7 +188,6 @@ class _ReplicaHealth:
             last_error=self.last_error,
             zone=self.zone,
             rack=self.rack,
-            effective_weight=self.weight * self.weight_factor if adaptive else None,
             lease_ok=self.lease_ok,
         )
 
@@ -238,14 +205,11 @@ class ClusterManager:
     replica is marked down immediately and routing shifts on the very
     next request instead of after ``miss_threshold * probe_interval``.
 
-    The autonomy knobs are all opt-in: *lease_ttl* arms the lease-based
-    liveness check, *weights* the adaptive-weight controller, and
-    *rebalance* the online slot-rebalance loop (which additionally needs
-    a cluster client attached via :meth:`attach_slot_loads` as its load
-    source).  *clock* injects the time source every deadline/lease
-    decision reads — the fault-injection suite passes a virtual clock
-    and drives :meth:`probe_once` by hand, making every autonomous
-    decision reproducible tick by tick.
+    *lease_ttl* arms the lease-based liveness check (off by default).
+    *clock* injects the time source every deadline/lease decision reads
+    — the fault-injection suite passes a virtual clock and drives
+    :meth:`probe_once` by hand, making every decision reproducible tick
+    by tick.
     """
 
     def __init__(
@@ -260,8 +224,6 @@ class ClusterManager:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         lease_ttl: float | None = None,
         lease_stall_cycles: int = DEFAULT_LEASE_STALL_CYCLES,
-        weights: WeightConfig | None = None,
-        rebalance: RebalanceConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if probe_interval <= 0:
@@ -280,9 +242,7 @@ class ClusterManager:
         self.stats_every = max(1, stats_every)
         self.lease_ttl = lease_ttl
         self.lease_stall_cycles = lease_stall_cycles
-        self.rebalance = rebalance
         self._clock = clock
-        self._weights = WeightController(weights) if weights is not None else None
         self._lock = threading.Lock()
         self._health: dict[str, _ReplicaHealth] = {}
         for shard_id, replicas in enumerate(topology.shards):
@@ -302,23 +262,8 @@ class ClusterManager:
         self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         self._cycle = 0
-        #: fleet-autonomy state: the mutable slot map (empty = identity),
-        #: in-flight migrations, the client-provided per-slot load source
-        #: plus its last reading, the sustained-imbalance streak, the
-        #: bounded event log and its lifetime counters
-        self._slot_map: list[int] = []
-        self._migrations: list[SlotMigration] = []
-        self._slot_loads_source: Callable[[], list[int]] | None = None
-        self._last_slot_loads: list[int] | None = None
-        self._imbalance_streak = 0
         self._events: deque[dict] = deque(maxlen=FLEET_EVENT_CAPACITY)
-        self._counters = {
-            "lease_revocations": 0,
-            "lease_restored": 0,
-            "weight_adjustments": 0,
-            "migrations_planned": 0,
-            "migrations_completed": 0,
-        }
+        self._counters = {"lease_revocations": 0, "lease_restored": 0}
         self._table = self._publish()
 
     # ------------------------------------------------------------------
@@ -358,39 +303,21 @@ class ClusterManager:
         with self._lock:
             return self._table
 
-    def attach_slot_loads(self, source: Callable[[], list[int]]) -> None:
-        """Register the per-slot routed-request counter feed (cumulative).
-
-        The cluster client attaches its slot counters here; the
-        rebalance loop differences consecutive readings into
-        per-evaluation loads.  Without a source the loop stays inert
-        even when *rebalance* is configured.
-        """
-        with self._lock:
-            self._slot_loads_source = source
-            self._last_slot_loads = None
-
     def _publish(self) -> RoutingTable:
         """Rebuild and swap the table from current health state (lock held or init)."""
         version = getattr(self, "_table", None).version + 1 if getattr(self, "_table", None) else 1
-        adaptive = self._weights is not None
         table = RoutingTable(
             version=version,
             shards=tuple(
-                tuple(
-                    self._health[spec.endpoint].route(adaptive)
-                    for spec in replicas
-                )
+                tuple(self._health[spec.endpoint].route() for spec in replicas)
                 for replicas in self.topology.shards
             ),
-            slot_map=tuple(self._slot_map),
-            migrations=tuple(self._migrations),
         )
         self._table = table
         return table
 
     def _record_event(self, kind: str, **details) -> None:
-        """Append one fleet event (lock held); bump its lifetime counter."""
+        """Append one fleet event (lock held)."""
         event = {"cycle": self._cycle, "type": kind}
         event.update(details)
         self._events.append(event)
@@ -465,15 +392,13 @@ class ClusterManager:
         each): a black-holed host that eats the full ``probe_timeout``
         must only stall its own probe, not delay detection and recovery
         for every other replica.  Every ``stats_every``-th cycle fetches
-        the heavier ``stats`` payload (latency percentiles); the
-        in-between cycles only ``ping`` (shard identity + queue depth),
-        keeping the steady-state probe cost one tiny frame per replica.
+        the heavier ``stats`` payload (the windowed p95); the in-between
+        cycles only ``ping`` (shard identity + queue depth), keeping the
+        steady-state probe cost one tiny frame per replica.
 
-        After the probes land, the cycle runs the autonomy passes: lease
-        expiry (checked *before and after* probing, so a wedged probe
-        socket cannot delay a revocation the clock already justifies),
-        weight adaptation (stats cycles), and rebalance evaluation /
-        handoff-window flips.
+        Lease expiry is checked *before and after* probing, so a wedged
+        probe socket cannot delay a revocation the clock already
+        justifies.
         """
         self._cycle += 1
         want_stats = self._cycle % self.stats_every == 0
@@ -505,11 +430,6 @@ class ClusterManager:
                 thread.join()
         with self._lock:
             self._check_leases(self._clock())
-            if want_stats:
-                self._adapt_weights()
-            self._advance_migrations()
-            if want_stats:
-                self._evaluate_rebalance()
             return self._publish()
 
     def _probe_endpoint(self, endpoint: str, want_stats: bool) -> None:
@@ -539,7 +459,9 @@ class ClusterManager:
             state.last_error = None
             state.queue_depth = int(info.get("queue_depth", 0))
             if stats is not None:
-                state.p95_ms = float(stats.get("snapshot", {}).get("p95_ms", 0.0))
+                request = stats.get("counters", {}).get("stages", {}).get("request") or {}
+                state.p95_ms = _windowed_p95_ms(state.last_request, request)
+                state.last_request = request
             if not state.healthy:
                 state.healthy = True
                 state.transitions += 1
@@ -604,101 +526,6 @@ class ClusterManager:
                 )
         return changed
 
-    # ------------------------------------------------------------------
-    # Adaptive weights
-    # ------------------------------------------------------------------
-    def _adapt_weights(self) -> None:
-        """Feed one stats cycle's load skew to the weight controller (lock held).
-
-        Each shard group's healthy, lease-holding replicas are compared
-        against *each other* (cross-shard latency is apples to oranges);
-        the load signal is the probed p95 plus the live queue depth, so
-        a replica can shed traffic on queue growth before its latency
-        samples even return.
-        """
-        if self._weights is None:
-            return
-        by_shard: dict[int, dict[str, float]] = {}
-        for state in self._health.values():
-            if state.healthy and state.lease_ok:
-                by_shard.setdefault(state.shard_id, {})[state.endpoint] = (
-                    state.p95_ms + float(state.queue_depth)
-                )
-        for samples in by_shard.values():
-            factors = self._weights.observe(samples)
-            for endpoint, factor in factors.items():
-                state = self._health[endpoint]
-                if abs(factor - state.weight_factor) > 1e-12:
-                    self._counters["weight_adjustments"] += 1
-                    self._record_event(
-                        "weight_adjusted",
-                        endpoint=endpoint,
-                        factor=factor,
-                        previous=state.weight_factor,
-                    )
-                    state.weight_factor = factor
-
-    # ------------------------------------------------------------------
-    # Online rebalancing
-    # ------------------------------------------------------------------
-    def _advance_migrations(self) -> None:
-        """Flip handoff windows whose cycles have elapsed (lock held).
-
-        The flip is atomic by construction: the slot map mutates here
-        under the lock and the caller publishes one new table version —
-        a reader sees either the donor owning the slot (window open,
-        dual-routed) or the recipient owning it, never anything else.
-        """
-        if not self._migrations or self.rebalance is None:
-            return
-        remaining: list[SlotMigration] = []
-        for migration in self._migrations:
-            if self._cycle - migration.started_cycle >= self.rebalance.handoff_cycles:
-                if not self._slot_map:
-                    self._slot_map = default_slot_map(self.topology.num_shards)
-                self._slot_map[migration.slot] = migration.recipient
-                self._counters["migrations_completed"] += 1
-                self._record_event(
-                    "migration_completed",
-                    slot=migration.slot,
-                    donor=migration.donor,
-                    recipient=migration.recipient,
-                )
-            else:
-                remaining.append(migration)
-        self._migrations = remaining
-
-    def _evaluate_rebalance(self) -> None:
-        """One imbalance evaluation over the client's slot counters (lock held)."""
-        if self.rebalance is None or self._slot_loads_source is None or self._migrations:
-            return
-        current = list(self._slot_loads_source())
-        previous, self._last_slot_loads = self._last_slot_loads, current
-        if previous is None or len(previous) != len(current):
-            return  # first reading (or a topology change): nothing to difference
-        window = [max(now - before, 0) for now, before in zip(current, previous)]
-        if sum(window) < self.rebalance.min_requests:
-            return  # too quiet to judge; keep the streak (idle ≠ balanced)
-        num_shards = self.topology.num_shards
-        slot_map = self._slot_map or default_slot_map(num_shards)
-        ratio = imbalance_ratio(shard_loads(slot_map, window, num_shards))
-        if ratio <= self.rebalance.threshold:
-            self._imbalance_streak = 0
-            return
-        self._imbalance_streak += 1
-        if self._imbalance_streak < self.rebalance.sustain:
-            return
-        moves = plan_rebalance(slot_map, window, num_shards, self.rebalance)
-        self._imbalance_streak = 0
-        for slot, donor, recipient in moves:
-            self._migrations.append(
-                SlotMigration(slot=slot, donor=donor, recipient=recipient, started_cycle=self._cycle)
-            )
-            self._counters["migrations_planned"] += 1
-            self._record_event(
-                "migration_started", slot=slot, donor=donor, recipient=recipient, ratio=ratio
-            )
-
     def _run(self) -> None:
         """Probe loop: one cycle per interval, woken early by failure reports."""
         while not self._stop.is_set():
@@ -733,52 +560,24 @@ class ClusterManager:
                         "zone": state.zone,
                         "rack": state.rack,
                         "lease_ok": state.lease_ok,
-                        "weight_factor": state.weight_factor,
                     }
                     for state in self._health.values()
                 ],
             }
 
     def fleet_snapshot(self) -> dict:
-        """Autonomy telemetry: events, counters, migrations, weights, slots.
+        """Autonomy telemetry: lease settings, counters, events and lease states.
 
         This is the ``"fleet"`` section of the cluster client's
         ``stats_snapshot()`` (and thus of ``--stats-json``): the bounded
         event log explains *what the control plane did* — which leases
-        it revoked and why, which slots it moved where — without
-        grepping server logs.
+        it revoked and why — without grepping server logs.
         """
         with self._lock:
-            moved = (
-                sum(
-                    1
-                    for slot, shard in enumerate(self._slot_map)
-                    if shard != slot % self.topology.num_shards
-                )
-                if self._slot_map
-                else 0
-            )
             return {
                 "lease_ttl": self.lease_ttl,
-                "adaptive_weights": self._weights is not None,
-                "rebalance": self.rebalance is not None,
                 "counters": dict(self._counters),
                 "events": list(self._events),
-                "migrations_active": [
-                    {
-                        "slot": migration.slot,
-                        "donor": migration.donor,
-                        "recipient": migration.recipient,
-                        "started_cycle": migration.started_cycle,
-                    }
-                    for migration in self._migrations
-                ],
-                "slots_moved": moved,
-                "weights": {
-                    state.endpoint: state.weight_factor
-                    for state in self._health.values()
-                    if state.weight_factor != 1.0
-                },
                 "leases": {
                     state.endpoint: state.lease_ok for state in self._health.values()
                 }

@@ -232,16 +232,6 @@ def diagnose(
                         restored=restored,
                     )
                 )
-        migrations = fleet.get("migrations_active")
-        if isinstance(migrations, list) and migrations:
-            findings.append(
-                _finding(
-                    "info",
-                    "migrations-active",
-                    f"{len(migrations)} slot migration(s) in their handoff window",
-                    count=len(migrations),
-                )
-            )
 
     # -- where the time goes: the hottest pipeline stage by p95 --
     stage_latency = overall.get("stage_latency_ms")

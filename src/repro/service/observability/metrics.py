@@ -293,34 +293,11 @@ def prometheus_text(stats: dict, namespace: str = "repro") -> str:
     if isinstance(fleet, dict):
         counters = fleet.get("counters")
         if isinstance(counters, dict):
-            for key in (
-                "lease_revocations",
-                "lease_restored",
-                "weight_adjustments",
-                "migrations_planned",
-                "migrations_completed",
-            ):
+            for key in ("lease_revocations", "lease_restored"):
                 if key in counters:
                     metric = f"{namespace}_fleet_{key}_total"
                     lines.append(f"# TYPE {metric} counter")
                     lines.append(f"{metric} {_format_value(counters[key])}")
-        migrations = fleet.get("migrations_active")
-        if isinstance(migrations, list):
-            metric = f"{namespace}_fleet_migrations_active"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {len(migrations)}")
-        if "slots_moved" in fleet:
-            metric = f"{namespace}_fleet_slots_moved"
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {_format_value(fleet.get('slots_moved', 0))}")
-        weights = fleet.get("weights")
-        if isinstance(weights, dict) and weights:
-            metric = f"{namespace}_fleet_weight_factor"
-            lines.append(f"# TYPE {metric} gauge")
-            for endpoint, factor in sorted(weights.items()):
-                lines.append(
-                    f"{metric}{_labels_text({'endpoint': endpoint})} {_format_value(factor)}"
-                )
         leases = fleet.get("leases")
         if isinstance(leases, dict) and leases:
             metric = f"{namespace}_fleet_lease_ok"

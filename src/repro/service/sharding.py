@@ -8,8 +8,10 @@ versioned result cache and generation token).  The
 :class:`ShardRouter` makes the partition deterministic — CRC-32 of the
 pair, not Python's per-process salted ``hash`` — so a pair is served by
 the same shard in every run and every process, which keeps results
-bit-identical at any shard count and lets future remote transports place
-shards in separate processes without re-routing.
+bit-identical at any shard count.  The remote
+:class:`~repro.service.cluster.client.ClusterClient` routes by the same
+router, so a pair reaches the same shard in process and across the
+wire.
 
 Admission control, deadlines and cache invalidation are all *per shard*:
 one hot shard sheds load while the others keep serving, and a KG/model
@@ -41,15 +43,6 @@ from .service import ExEAClient, ExplanationService, MutationSpec, _MutationGate
 from .stats import imbalance_summary, merge_stats
 
 
-#: Routing slots per shard: the pair space subdivides into
-#: ``num_shards * SLOTS_PER_SHARD`` CRC-32 slots, each wholly owned by one
-#: shard.  Because the slot count is a multiple of the shard count, the
-#: default slot→shard assignment (``slot % num_shards``) is *exactly* the
-#: classic ``crc32 % num_shards`` partition for every shard count — slots
-#: change nothing until the cluster control plane migrates one.
-SLOTS_PER_SHARD = 64
-
-
 class ShardRouter:
     """Deterministic hash partition of alignment pairs across shard groups."""
 
@@ -58,27 +51,12 @@ class ShardRouter:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
 
-    @property
-    def num_slots(self) -> int:
-        """How many routing slots the pair space subdivides into."""
-        return self.num_shards * SLOTS_PER_SHARD
-
     def shard_of(self, source: str, target: str) -> int:
         """Shard index of a pair — stable across runs and processes."""
         if self.num_shards == 1:
             return 0
         key = f"{source}\x1f{target}".encode("utf-8")
         return zlib.crc32(key) % self.num_shards
-
-    def slot_of(self, source: str, target: str) -> int:
-        """Routing-slot index of a pair (finer than the shard partition).
-
-        ``slot_of(p) % num_shards == shard_of(p)`` by construction, so a
-        slot-addressed routing table that starts from the identity
-        assignment routes every pair exactly where :meth:`shard_of` does.
-        """
-        key = f"{source}\x1f{target}".encode("utf-8")
-        return zlib.crc32(key) % self.num_slots
 
     def partition(
         self, pairs: list[tuple[str, str]]

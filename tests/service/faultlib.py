@@ -5,8 +5,8 @@ Two layers share this module:
 * **Virtual-time units** — :class:`VirtualClock` plus :class:`FakeProbe`
   let a test drive a real :class:`~repro.service.cluster.manager.ClusterManager`
   tick by tick with *scripted* probe answers and a clock it advances by
-  hand: no sockets, no sleeps, every lease/weight/rebalance decision
-  reproducible down to the probe cycle.
+  hand: no sockets, no sleeps, every lease, backoff and windowed-p95
+  decision reproducible down to the probe cycle.
 * **Process chaos** — :class:`FaultSchedule` turns a seed into a
   replayable schedule of process faults (SIGSTOP / SIGCONT / SIGKILL)
   fired at request indices; :class:`ChaosController` applies them to a
@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.kg import EADataset
-from repro.service import MutationSpec, ShardServer
+from repro.service import MutationSpec, ServiceStats, ShardServer
 from repro.service.errors import RemoteTransportError
 from repro.service.transport.protocol import OP_STATS
 
@@ -78,14 +78,15 @@ class FakeProbe:
     instance is raised (use :class:`RemoteTransportError` to exercise
     the miss path).  Once the script runs out, the last entry repeats —
     a steady-state replica is one scripted entry.  ``stats`` calls
-    answer with a fixed p95 (override via *p95_ms*).
+    answer the way a server does, from :attr:`stats`: record request
+    latencies there (``probe.stats.record_request(kind, seconds)``).
     """
 
-    def __init__(self, script=None, p95_ms: float = 0.0) -> None:
+    def __init__(self, script=None) -> None:
         self.script = list(script) if script is not None else [fake_ping()]
         if not self.script:
             raise ValueError("FakeProbe needs at least one scripted outcome")
-        self.p95_ms = p95_ms
+        self.stats = ServiceStats()
         self.pings = 0
         self.stats_calls = 0
 
@@ -103,7 +104,7 @@ class FakeProbe:
     def call(self, payload: dict, timeout=None) -> dict:
         if payload.get("op") == OP_STATS:
             self.stats_calls += 1
-            return {"snapshot": {"p95_ms": self.p95_ms}}
+            return {"counters": self.stats.raw(), "snapshot": self.stats.snapshot()}
         raise AssertionError(f"unexpected probe op: {payload!r}")
 
     def close(self) -> None:  # the manager closes probes on stop()

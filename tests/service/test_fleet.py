@@ -1,28 +1,23 @@
-"""Fleet-autonomy tests: leases, adaptive weights, online rebalancing.
+"""Fleet tests: CRC routing, zone-aware failover, leases, windowed p95.
 
-Five layers of coverage, from pure arithmetic to process chaos:
+Four layers of coverage, from pure routing to process chaos:
 
-* **Controller units** — :class:`WeightController` (EMA convergence,
-  bound clamping, flap damping, sample gating) and the rebalance
-  planner (:func:`plan_rebalance` strict-improvement moves, slot/shard
-  identity, imbalance ratios) with no sockets at all.
-* **Routing units** — slot↔shard identity at every shard count,
-  :class:`RoutingTable` slot lookup and handoff peers, and the
+* **Routing units** — the cluster client routes every pair by
+  :class:`ShardRouter`'s CRC-32 partition at every shard count, and the
   zone-aware :func:`prefer_distinct_domains` failover filter.
 * **Topology labels** — zone/rack parsing, round-tripping and
   validation edge cases.
 * **Virtual-clock control plane** — a real :class:`ClusterManager`
   driven tick by tick with scripted probes (``faultlib.FakeProbe``) and
   a hand-advanced clock: lease grant/expiry/stall/restore, the
-  report-failure backoff fix, weight adaptation and a full
-  detect→plan→handoff→flip migration, all deterministic.
+  report-failure backoff fix and the windowed p95, all deterministic.
 * **Seeded chaos acceptance** — shards=2 × replicas=2 real ``serve``
   subprocesses; a seeded fault schedule SIGSTOPs a replica (half-dead:
-  pings accepted, zero progress) and forces a hot shard; the
-  2000-request mixed replay completes with **zero failed requests**,
-  triggers a lease revocation and an online slot migration, and every
-  result is bit-identical to an undisturbed in-process run.  The same
-  seed reproduces the same fault schedule (the repro line is printed).
+  pings accepted, zero progress) under a hot shard; the 2000-request
+  mixed replay completes with **zero failed requests**, triggers a
+  lease revocation that is later restored, and every result is
+  bit-identical to an undisturbed in-process run.  The same seed
+  reproduces the same fault schedule (the repro line is printed).
 """
 
 import time
@@ -48,189 +43,20 @@ from repro.service import (
     ClusterClient,
     ClusterManager,
     ExEAClient,
-    RebalanceConfig,
     ReplicatedLocalCluster,
     ServiceConfig,
+    ServiceStats,
     ShardedExplanationService,
     TopologyError,
-    WeightConfig,
-    WeightController,
     parse_topology,
 )
 from repro.service.cluster import prefer_distinct_domains, topology_for_endpoints
-from repro.service.cluster.manager import ReplicaRoute, RoutingTable
-from repro.service.cluster.rebalance import (
-    SlotMigration,
-    default_slot_map,
-    imbalance_ratio,
-    plan_rebalance,
-    shard_loads,
-)
-from repro.service.sharding import SLOTS_PER_SHARD, ShardRouter
+from repro.service.cluster.manager import ReplicaRoute
+from repro.service.sharding import ShardRouter
 
 
 # ----------------------------------------------------------------------
-# Weight controller units (no sockets)
-# ----------------------------------------------------------------------
-class TestWeightController:
-    def test_factors_converge_toward_the_load_skew(self):
-        controller = WeightController(WeightConfig())
-        for _ in range(6):
-            factors = controller.observe({"fast": 0.0, "slow": 100.0})
-        # The idle replica is offered more than its share, the loaded one
-        # less; the ratio targets (floor + mean) / (floor + ema).
-        assert factors["fast"] == pytest.approx(4.0)  # clamped at max_factor
-        assert factors["slow"] == pytest.approx(51.0 / 101.0, rel=1e-6)
-
-    def test_factors_recover_when_the_skew_heals(self):
-        controller = WeightController(WeightConfig())
-        for _ in range(4):
-            controller.observe({"a": 0.0, "b": 100.0})
-        assert controller.factor("b") < 0.6
-        for _ in range(25):  # the EMA forgets the bad stretch
-            factors = controller.observe({"a": 0.0, "b": 0.0})
-        assert factors["b"] > 0.9
-        assert factors["a"] < 1.2
-
-    def test_factors_stay_inside_the_bounds(self):
-        config = WeightConfig(min_factor=0.25, max_factor=4.0)
-        controller = WeightController(config)
-        samples = {"e0": 0.0, "e1": 0.0, "e2": 0.0, "e3": 0.0, "hot": 10000.0}
-        for _ in range(6):
-            factors = controller.observe(samples)
-        assert factors["hot"] == pytest.approx(0.25)  # clamped at min_factor
-        assert all(0.25 <= factor <= 4.0 for factor in factors.values())
-
-    def test_deadband_damps_flapping(self):
-        controller = WeightController(WeightConfig(deadband=0.1))
-        # Near-equal loads oscillating slightly: targets hover ~2% from
-        # 1.0, inside the deadband — the published factor never moves.
-        for cycle in range(10):
-            wobble = 0.5 if cycle % 2 else -0.5
-            factors = controller.observe({"a": 10.0 + wobble, "b": 10.0 - wobble})
-        assert factors == {"a": 1.0, "b": 1.0}
-
-    def test_no_factor_before_min_samples(self):
-        controller = WeightController(WeightConfig(min_samples=3))
-        for _ in range(2):
-            factors = controller.observe({"fast": 0.0, "slow": 100.0})
-        assert factors == {"fast": 1.0, "slow": 1.0}
-        factors = controller.observe({"fast": 0.0, "slow": 100.0})
-        assert factors["fast"] > 1.0 > factors["slow"]
-
-    def test_a_lone_replica_never_moves(self):
-        controller = WeightController()
-        for _ in range(10):
-            factors = controller.observe({"only": 500.0})
-        assert factors == {"only": 1.0}
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"alpha": 0.0},
-            {"alpha": 1.5},
-            {"min_factor": 0.0},
-            {"min_factor": 1.5},
-            {"max_factor": 0.5},
-            {"deadband": -0.1},
-            {"min_samples": 0},
-            {"floor_ms": 0.0},
-        ],
-    )
-    def test_config_validation(self, overrides):
-        with pytest.raises(ValueError):
-            WeightConfig(**overrides)
-
-
-# ----------------------------------------------------------------------
-# Rebalance planning units (pure functions)
-# ----------------------------------------------------------------------
-class TestRebalancePlanning:
-    def test_default_slot_map_is_the_identity_partition(self):
-        for num_shards in (1, 2, 3, 5):
-            slot_map = default_slot_map(num_shards)
-            assert len(slot_map) == num_shards * SLOTS_PER_SHARD
-            assert all(slot_map[slot] == slot % num_shards for slot in range(len(slot_map)))
-
-    def test_slot_of_is_consistent_with_shard_of(self):
-        # The whole migration design rests on this: the identity slot map
-        # routes every pair exactly where the classic CRC partition does,
-        # at every shard count (num_slots is a multiple of num_shards).
-        pairs = [(f"s{i}", f"t{i}") for i in range(200)]
-        for num_shards in (1, 2, 3, 5, 7):
-            router = ShardRouter(num_shards)
-            for source, target in pairs:
-                assert router.slot_of(source, target) % num_shards == router.shard_of(
-                    source, target
-                )
-
-    def test_imbalance_ratio(self):
-        assert imbalance_ratio([]) == 0.0
-        assert imbalance_ratio([0, 0]) == 0.0
-        assert imbalance_ratio([50, 50]) == pytest.approx(1.0)
-        assert imbalance_ratio([90, 10]) == pytest.approx(1.8)
-
-    def test_shard_loads_sums_by_assignment(self):
-        slot_map = default_slot_map(2)
-        loads = [0] * len(slot_map)
-        loads[0], loads[1], loads[2] = 10, 20, 30
-        assert shard_loads(slot_map, loads, 2) == [40, 20]
-        slot_map[0] = 1  # slot 0 migrated to shard 1
-        assert shard_loads(slot_map, loads, 2) == [30, 30]
-
-    def test_plan_moves_hot_slots_while_strictly_improving(self):
-        config = RebalanceConfig(threshold=1.25, min_requests=10)
-        slot_map = default_slot_map(2)
-        loads = [0] * len(slot_map)
-        loads[0], loads[2], loads[4], loads[6] = 40, 30, 20, 10
-        moves = plan_rebalance(slot_map, loads, 2, config)
-        # Slot 0 (40) moves; slots 2/4 (30/20) would leave the recipient
-        # at/above the donor — swapping the hot spot, skipped; slot 6
-        # (10) still strictly improves.  Then the donor hits the mean.
-        assert moves == [(0, 0, 1), (6, 0, 1)]
-
-    def test_plan_is_empty_when_balanced_or_too_quiet(self):
-        config = RebalanceConfig(threshold=1.25, min_requests=64)
-        slot_map = default_slot_map(2)
-        balanced = [1] * len(slot_map)
-        assert plan_rebalance(slot_map, balanced, 2, config) == []
-        quiet = [0] * len(slot_map)
-        quiet[0] = 10  # wildly skewed but under min_requests
-        assert plan_rebalance(slot_map, quiet, 2, config) == []
-
-    def test_plan_is_empty_for_a_single_shard(self):
-        config = RebalanceConfig()
-        slot_map = default_slot_map(1)
-        loads = [100] * len(slot_map)
-        assert plan_rebalance(slot_map, loads, 1, config) == []
-
-    def test_plan_respects_max_moves(self):
-        config = RebalanceConfig(threshold=1.1, min_requests=1, max_moves=2)
-        slot_map = default_slot_map(2)
-        loads = [0] * len(slot_map)
-        for slot in range(0, 40, 2):  # 20 equally hot shard-0 slots
-            loads[slot] = 10
-        moves = plan_rebalance(slot_map, loads, 2, config)
-        assert len(moves) == 2
-        assert moves == [(0, 0, 1), (2, 0, 1)]  # ties break on lowest slot id
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"threshold": 1.0},
-            {"sustain": 0},
-            {"max_moves": 0},
-            {"handoff_cycles": 0},
-            {"min_requests": 0},
-        ],
-    )
-    def test_config_validation(self, overrides):
-        with pytest.raises(ValueError):
-            RebalanceConfig(**overrides)
-
-
-# ----------------------------------------------------------------------
-# Routing-table units
+# Routing units
 # ----------------------------------------------------------------------
 def _route(**overrides) -> ReplicaRoute:
     base = dict(
@@ -238,38 +64,6 @@ def _route(**overrides) -> ReplicaRoute:
     )
     base.update(overrides)
     return ReplicaRoute(**base)
-
-
-class TestRoutingTable:
-    def _table(self, num_shards=2, **overrides) -> RoutingTable:
-        shards = tuple(
-            (_route(endpoint=f"e{shard}:1", shard_id=shard),)
-            for shard in range(num_shards)
-        )
-        return RoutingTable(version=1, shards=shards, **overrides)
-
-    def test_empty_slot_map_is_the_identity(self):
-        table = self._table()
-        for slot in range(2 * SLOTS_PER_SHARD):
-            assert table.shard_for_slot(slot) == slot % 2
-
-    def test_slot_map_overrides_the_identity(self):
-        slot_map = tuple(default_slot_map(2))
-        moved = (1,) + slot_map[1:]
-        table = self._table(slot_map=moved)
-        assert table.shard_for_slot(0) == 1
-        assert table.shard_for_slot(2) == 0
-
-    def test_handoff_peers_cover_both_migration_sides(self):
-        migration = SlotMigration(slot=0, donor=0, recipient=1, started_cycle=3)
-        table = self._table(migrations=(migration,))
-        assert table.handoff_peers(0) == (1,)
-        assert table.handoff_peers(1) == (0,)
-        assert self._table().handoff_peers(0) == ()
-
-    def test_routing_weight_prefers_the_effective_weight(self):
-        assert _route(weight=2.0).routing_weight == 2.0
-        assert _route(weight=2.0, effective_weight=0.5).routing_weight == 0.5
 
 
 class TestClientPartition:
@@ -535,110 +329,39 @@ class TestReportFailureBackoff:
         manager.stop()
 
 
-class TestVirtualWeightAdaptation:
-    def test_stats_skew_adjusts_published_weights(self):
-        clock = VirtualClock()
-        fast = FakeProbe([fake_ping()], p95_ms=0.0)
-        slow = FakeProbe([fake_ping()], p95_ms=100.0)
-        manager = _virtual_manager(
-            [[E0, E1]], clock, {E0: fast, E1: slow}, weights=WeightConfig()
-        )
-        for _ in range(4):  # min_samples=3 stats cycles before factors move
-            table = manager.probe_once()
-        fast_route, slow_route = table.replicas(0)
-        assert fast_route.routing_weight > 1.0
-        assert slow_route.routing_weight < 1.0
-        fleet = manager.fleet_snapshot()
-        assert fleet["adaptive_weights"] is True
-        assert fleet["counters"]["weight_adjustments"] >= 2
-        assert fleet["weights"][E0] > 1.0 > fleet["weights"][E1]
-        assert any(event["type"] == "weight_adjusted" for event in fleet["events"])
+class TestWindowedP95:
+    def test_a_slow_spell_leaves_the_next_window(self):
+        probe = FakeProbe()
+        manager = _virtual_manager([[E0]], VirtualClock(), {E0: probe})
+        for _ in range(20):
+            probe.stats.record_request(EXPLAIN, 0.050)
+        # The first stats probe has no earlier reading: since start.
+        assert manager.probe_once().route_of(E0).p95_ms == pytest.approx(63.8976)
+        for _ in range(200):
+            probe.stats.record_request(EXPLAIN, 0.0003)
+        # Since start this reads 47.514 ms; the window holds only the
+        # 200 fast requests.
+        assert manager.probe_once().route_of(E0).p95_ms == pytest.approx(0.4992)
         manager.stop()
 
-    def test_without_the_controller_weights_stay_static(self):
-        manager = _virtual_manager(
-            [[E0, E1]],
-            VirtualClock(),
-            {E0: FakeProbe(p95_ms=0.0), E1: FakeProbe(p95_ms=100.0)},
-        )
+    def test_an_empty_window_reads_zero(self):
+        probe = FakeProbe()
+        manager = _virtual_manager([[E0]], VirtualClock(), {E0: probe})
+        probe.stats.record_request(EXPLAIN, 0.050)
+        assert manager.probe_once().route_of(E0).p95_ms > 0.0
+        assert manager.probe_once().route_of(E0).p95_ms == 0.0
+        manager.stop()
+
+    def test_a_restarted_replica_reads_since_start(self):
+        probe = FakeProbe()
+        manager = _virtual_manager([[E0]], VirtualClock(), {E0: probe})
+        for _ in range(20):
+            probe.stats.record_request(EXPLAIN, 0.0003)
+        manager.probe_once()
+        probe.stats = ServiceStats()  # a restart: the histogram starts over
         for _ in range(5):
-            table = manager.probe_once()
-        assert all(route.effective_weight is None for route in table.replicas(0))
-        assert manager.fleet_snapshot()["adaptive_weights"] is False
-        manager.stop()
-
-
-class TestVirtualRebalance:
-    def test_detect_plan_handoff_flip(self):
-        clock = VirtualClock()
-        manager = _virtual_manager(
-            [[E0], [E1]],
-            clock,
-            {E0: FakeProbe(), E1: FakeProbe()},
-            rebalance=RebalanceConfig(
-                threshold=1.25, sustain=2, min_requests=10, handoff_cycles=1
-            ),
-        )
-        counters = [0] * (2 * SLOTS_PER_SHARD)
-        manager.attach_slot_loads(lambda: list(counters))
-
-        def heat():  # all the load lands on shard-0 slots
-            counters[0] += 40
-            counters[2] += 30
-            counters[4] += 20
-            counters[6] += 10
-
-        manager.probe_once()  # cycle 1: baseline reading, nothing to difference
-        heat()
-        table = manager.probe_once()  # cycle 2: skewed (streak 1 of 2)
-        assert not table.migrations
-        heat()
-        table = manager.probe_once()  # cycle 3: sustained -> handoff windows open
-        assert [
-            (m.slot, m.donor, m.recipient) for m in table.migrations
-        ] == [(0, 0, 1), (6, 0, 1)]
-        # During the window the slot still routes to the donor, but the
-        # failover candidate set spans both sides (dual routing).
-        assert table.shard_for_slot(0) == 0
-        assert table.handoff_peers(0) == (1,)
-        assert table.handoff_peers(1) == (0,)
-
-        table = manager.probe_once()  # cycle 4: windows elapse -> atomic flip
-        assert not table.migrations
-        assert table.shard_for_slot(0) == 1
-        assert table.shard_for_slot(6) == 1
-        assert table.shard_for_slot(2) == 0  # unmoved slots keep the identity
-
-        fleet = manager.fleet_snapshot()
-        assert fleet["counters"]["migrations_planned"] == 2
-        assert fleet["counters"]["migrations_completed"] == 2
-        assert fleet["slots_moved"] == 2
-        kinds = [event["type"] for event in fleet["events"]]
-        assert kinds.count("migration_started") == 2
-        assert kinds.count("migration_completed") == 2
-        manager.stop()
-
-    def test_idle_windows_keep_the_streak(self):
-        clock = VirtualClock()
-        manager = _virtual_manager(
-            [[E0], [E1]],
-            clock,
-            {E0: FakeProbe(), E1: FakeProbe()},
-            rebalance=RebalanceConfig(threshold=1.25, sustain=2, min_requests=10),
-        )
-        counters = [0] * (2 * SLOTS_PER_SHARD)
-        manager.attach_slot_loads(lambda: list(counters))
-        def heat():
-            counters[0] += 60
-            counters[2] += 40
-
-        manager.probe_once()  # baseline
-        heat()
-        manager.probe_once()  # skewed: streak 1
-        manager.probe_once()  # idle window: too quiet to judge, streak kept
-        heat()
-        table = manager.probe_once()  # skewed again: streak 2 -> planned
-        assert table.migrations
+            probe.stats.record_request(EXPLAIN, 0.050)
+        assert manager.probe_once().route_of(E0).p95_ms == pytest.approx(63.8976)
         manager.stop()
 
 
@@ -770,33 +493,20 @@ class TestFleetChaos:
         stats = {
             "overall": {"submitted": 10, "completed": 10},
             "fleet": {
-                "counters": {
-                    "lease_revocations": 1,
-                    "lease_restored": 1,
-                    "weight_adjustments": 4,
-                    "migrations_planned": 2,
-                    "migrations_completed": 2,
-                },
-                "migrations_active": [],
-                "slots_moved": 2,
-                "weights": {"127.0.0.1:7101": 1.5},
+                "counters": {"lease_revocations": 1, "lease_restored": 1},
                 "leases": {"127.0.0.1:7101": True, "127.0.0.1:7102": False},
             },
         }
         text = prometheus_text(stats)
         assert "repro_fleet_lease_revocations_total 1" in text
-        assert "repro_fleet_migrations_completed_total 2" in text
-        assert "repro_fleet_migrations_active 0" in text
-        assert "repro_fleet_slots_moved 2" in text
-        assert 'repro_fleet_weight_factor{endpoint="127.0.0.1:7101"} 1.5' in text
         assert 'repro_fleet_lease_ok{endpoint="127.0.0.1:7102"} 0' in text
 
     def test_cluster_cli_fleet_flags_reach_the_stats_surface(
         self, fitted_model, service_dataset, tmp_path, capsys
     ):
-        """The documented operator path: ``cluster --lease-ttl
-        --adaptive-weights --rebalance`` wires the autonomy loops into
-        the manager, and ``--stats-json`` carries the ``fleet`` section."""
+        """The documented operator path: ``cluster --lease-ttl`` arms
+        leases in the manager, and ``--stats-json`` carries the
+        ``fleet`` section."""
         import json
 
         from repro.service.__main__ import main
@@ -820,12 +530,6 @@ class TestFleetChaos:
                     "mixed",
                     "--lease-ttl",
                     "15",
-                    "--adaptive-weights",
-                    "--rebalance",
-                    "--rebalance-threshold",
-                    "1.3",
-                    "--rebalance-sustain",
-                    "2",
                     "--stats-json",
                     str(stats_path),
                 ]
@@ -836,8 +540,6 @@ class TestFleetChaos:
             assert report["service"]["failed"] == 0
             fleet = json.loads(stats_path.read_text())["fleet"]
             assert fleet["lease_ttl"] == 15.0
-            assert fleet["adaptive_weights"] is True
-            assert fleet["rebalance"] is True
             assert set(fleet["leases"]) == {
                 replica.endpoint
                 for group in cluster.topology.shards
