@@ -42,9 +42,9 @@ from repro.service import (  # noqa: E402
     CONFIDENCE,
     EXPLAIN,
     ExEAClient,
+    ExplanationService,
     ReplicatedLocalCluster,
     ServiceConfig,
-    ShardedExplanationService,
 )
 
 ARTIFACT = Path(__file__).parent / "BENCH_service.json"
@@ -170,11 +170,11 @@ def test_fleet_failover(benchmark, quick):
     failover_workload = replay_workload(
         pairs, failover_n, seed=FLEET_SCALE.seed + 1, kinds=(EXPLAIN, CONFIDENCE)
     )
-    config = ServiceConfig(max_batch_size=32, num_shards=2, num_workers=2)
+    config = ServiceConfig(max_batch_size=32, num_workers=2)
 
     # Ground truth from an in-process run of the same snapshot: the bar
     # every faulted answer must clear bit-for-bit.
-    with ShardedExplanationService(model, dataset, config) as local:
+    with ExplanationService(model, dataset, config) as local:
         local_client = ExEAClient(local)
         expected_baseline = local_client.replay(baseline_workload, timeout=120)
         expected_failover = local_client.replay(failover_workload, timeout=120)

@@ -8,12 +8,12 @@ Three measurements, all on the ZH-EN second-order workload:
   populated cache); warm must sustain >= 5x direct throughput with
   bit-identical results.
 * ``test_service_remote_vs_inprocess`` — the transport row: the same
-  replay served by the in-process sharded service vs a process-per-shard
+  replay served by one in-process service vs a 2-shard process-per-shard
   cluster (one-replica ``ReplicatedLocalCluster``: real
   ``python -m repro.service serve`` subprocesses fed a pickled snapshot
-  of the same model) at the same shard count, over the one wire (binary
-  frames on pooled sockets).  Results must be bit-identical across the
-  process boundary.
+  of the same model, each with the same service config), over the one
+  wire (binary frames on pooled sockets).  Results must be bit-identical
+  across the process boundary.
 * ``test_service_cluster_failover`` — the PR-5 control-plane row: the
   replay served by a replicated cluster (2 shards x 2 replica
   subprocesses, health-checked, load-aware routing), then repeated while
@@ -47,8 +47,6 @@ from repro.service import (
     ExplanationService,
     ReplicatedLocalCluster,
     ServiceConfig,
-    ShardedExEAClient,
-    ShardedExplanationService,
     replay_concurrently,
 )
 
@@ -151,7 +149,7 @@ def test_service_throughput(benchmark, dataset_cache, model_cache, bench_scale, 
 
 
 def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, bench_scale, quick):
-    """Mixed replay, in-process sharded service vs a process-per-shard cluster."""
+    """Mixed replay, one in-process service vs a process-per-shard cluster."""
     dataset = dataset_cache("ZH-EN")
     model = model_cache("Dual-AMN", "ZH-EN")
     pairs = sample_correct_pairs(
@@ -164,21 +162,22 @@ def test_service_remote_vs_inprocess(benchmark, dataset_cache, model_cache, benc
     )
     unique_pairs = sorted({(source, target) for _, source, target in workload})
     exea_config = ExEAConfig(explanation=ExplanationConfig(max_hops=MAX_HOPS))
-    config = ServiceConfig(max_batch_size=32, num_workers=2, num_shards=num_shards)
+    config = ServiceConfig(max_batch_size=32, num_workers=2)
 
     def measure():
-        # In-process sharded baseline: same shard count, same router.
-        local = ShardedExplanationService(model, dataset, config, exea_config=exea_config)
+        # In-process baseline: one service with the config every shard
+        # process serves under.
+        local = ExplanationService(model, dataset, config, exea_config=exea_config)
         with local:
-            client = ShardedExEAClient(local)
+            client = ExEAClient(local)
             local_cold = replay_concurrently(client, workload, NUM_CLIENTS)
             local_warm = replay_concurrently(client, workload, NUM_CLIENTS)
             local_explains = {pair: client.explain(*pair) for pair in unique_pairs}
             local_confidences = {pair: client.confidence(*pair) for pair in unique_pairs}
 
         # Remote: one real server subprocess per shard (one replica each),
-        # same model bytes (pickled snapshot), same CRC-32 routing,
-        # traffic over TCP.
+        # same model bytes (pickled snapshot), pairs routed by the CRC-32
+        # partition, traffic over TCP.
         with ReplicatedLocalCluster(
             model, dataset, num_shards=num_shards, num_replicas=1, service_config=config,
             exea_config=exea_config,
@@ -258,13 +257,13 @@ def test_service_cluster_failover(benchmark, dataset_cache, model_cache, bench_s
     )
     unique_pairs = sorted({(source, target) for _, source, target in workload})
     exea_config = ExEAConfig(explanation=ExplanationConfig(max_hops=MAX_HOPS))
-    config = ServiceConfig(max_batch_size=32, num_workers=2, num_shards=num_shards)
+    config = ServiceConfig(max_batch_size=32, num_workers=2)
 
     def measure():
-        # In-process sharded reference results (the bit-identical oracle).
-        local = ShardedExplanationService(model, dataset, config, exea_config=exea_config)
+        # In-process reference results (the bit-identical oracle).
+        local = ExplanationService(model, dataset, config, exea_config=exea_config)
         with local:
-            client = ShardedExEAClient(local)
+            client = ExEAClient(local)
             local_explains = {pair: client.explain(*pair) for pair in unique_pairs}
             local_confidences = {pair: client.confidence(*pair) for pair in unique_pairs}
 

@@ -28,6 +28,7 @@ import time
 import pytest
 
 from faultlib import ChaosController, SlowShardServer, predicted_pairs
+from repro.core import ExEA
 from repro.service import (
     CONFIDENCE,
     EXPLAIN,
@@ -40,7 +41,6 @@ from repro.service import (
     ReplicaSpec,
     ReplicatedLocalCluster,
     ServiceConfig,
-    ShardedExplanationService,
     ShardServer,
     TopologyError,
     load_topology,
@@ -496,7 +496,7 @@ class TestReplicatedCluster:
         """The acceptance bar: shards=2 x replicas=2 real subprocesses; one
         replica is SIGKILLed while a replay is in flight; the replay
         completes with zero failed requests and every result equals the
-        in-process sharded service's."""
+        in-process service's."""
         from repro.datasets import replay_workload, shard_workload
 
         pairs = predicted_pairs(fitted_model, limit=16)
@@ -505,9 +505,9 @@ class TestReplicatedCluster:
         )
         # cache_capacity=0 keeps every request computing, so the kill
         # reliably lands while work is still in flight.
-        config = ServiceConfig(num_shards=2, num_workers=2, cache_capacity=0)
+        config = ServiceConfig(num_workers=2, cache_capacity=0)
 
-        with ShardedExplanationService(fitted_model, service_dataset, config) as local:
+        with ExplanationService(fitted_model, service_dataset, config) as local:
             expected = ExEAClient(local).replay(workload, timeout=120)
 
         with ReplicatedLocalCluster(
@@ -607,13 +607,24 @@ class TestReplicatedCluster:
             assert snapshot["num_replicas"] == 2
             assert len(snapshot["per_shard"]) == 2
             assert len(snapshot["per_replica"]) == 2
-            assert snapshot["overall"]["completed"] == sum(
-                row["completed"] for row in snapshot["per_shard"]
+            # Counters merge exactly: overall is the per-shard sum.
+            overall = snapshot["overall"]
+            for key in ("submitted", "completed", "cache_hits", "cache_misses", "num_batches"):
+                assert overall[key] == sum(row[key] for row in snapshot["per_shard"])
+            assert overall["completed"] == len(pairs)
+            imbalance = overall["shard_imbalance"]
+            submitted = [row["submitted"] for row in snapshot["per_shard"]]
+            assert imbalance["request_share"]["max"] == max(submitted)
+            assert imbalance["request_share"]["mean"] == pytest.approx(
+                sum(submitted) / len(submitted)
             )
-            imbalance = snapshot["overall"]["shard_imbalance"]
             assert imbalance["request_share"]["max_over_mean"] >= 1.0
-            assert imbalance["pair_count"]["max"] >= 1.0
-            assert sum(snapshot["pairs_per_shard"]) > 0
+            # Pair counts partition the reference alignment exactly.
+            pair_counts = snapshot["pairs_per_shard"]
+            assert imbalance["pair_count"]["max"] == max(pair_counts)
+            assert sum(pair_counts) == len(
+                ExEA(fitted_model, service_dataset).reference_alignment().pairs
+            )
             assert snapshot["unreachable"] == []
 
     def test_cluster_cli_replays_against_a_topology_file(

@@ -43,10 +43,10 @@ from repro.service import (
     ClusterClient,
     ClusterManager,
     ExEAClient,
+    ExplanationService,
     ReplicatedLocalCluster,
     ServiceConfig,
     ServiceStats,
-    ShardedExplanationService,
     TopologyError,
     parse_topology,
 )
@@ -422,9 +422,9 @@ class TestFleetChaos:
         workload = replay_workload(hot, 1800, seed=5, kinds=(EXPLAIN, CONFIDENCE))
         workload += replay_workload(cold, 200, seed=6, kinds=(EXPLAIN, CONFIDENCE))
         assert len(workload) == 2000
-        config = ServiceConfig(num_shards=2, num_workers=2)
+        config = ServiceConfig(num_workers=2)
 
-        with ShardedExplanationService(fitted_model, service_dataset, config) as local:
+        with ExplanationService(fitted_model, service_dataset, config) as local:
             client = ExEAClient(local)
             expected = client.replay(workload, timeout=120)
             expected_hot = [client.explain(*pair) for pair in hot]

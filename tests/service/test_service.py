@@ -1,5 +1,6 @@
 """Service-layer tests: equivalence, cache invalidation, backpressure, concurrency."""
 
+import json
 import random
 import threading
 import time
@@ -316,3 +317,25 @@ class TestNoGatherWindow:
             getattr(cli, entry)(["--max-wait-ms", "1"])
         assert exit_info.value.code == 2
         assert "--max-wait-ms" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# The `replay` CLI end to end: fit, serve, report, stats and metrics files
+# ----------------------------------------------------------------------
+class TestReplayCLI:
+    def test_replay_main_reports_stats_and_metrics(self, tmp_path, capsys):
+        from repro.service.__main__ import replay_main
+
+        stats_path = tmp_path / "stats.json"
+        metrics_path = tmp_path / "metrics.prom"
+        argv = [
+            "--model", "MTransE", "--scale", "0.3", "--dim", "16",
+            "--requests", "40", "--clients", "2", "--mix", "mixed",
+            "--stats-json", str(stats_path), "--metrics-out", str(metrics_path),
+        ]
+        assert replay_main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["service"]["completed"] == 40
+        stats = json.loads(stats_path.read_text())
+        assert stats["overall"]["completed"] == 40
+        assert "repro_completed_total 40" in metrics_path.read_text().splitlines()

@@ -16,6 +16,7 @@ from repro.service import (
     DeadlineExceededError,
     Dispatcher,
     ExEAClient,
+    ExplanationService,
     MicroBatcher,
     RequestQueue,
     ServiceConfig,
@@ -229,12 +230,12 @@ class TestShardedStats:
         self, fitted_model, service_dataset
     ):
         pair = predicted_pairs(fitted_model, limit=1)[0]
-        config = ServiceConfig(num_shards=1, num_workers=1)
-        with ShardedExplanationService(fitted_model, service_dataset, config) as service:
-            client = ShardedExEAClient(service)
+        config = ServiceConfig(num_workers=1)
+        with ExplanationService(fitted_model, service_dataset, config) as service:
+            client = ExEAClient(service)
             client.confidence(*pair)  # populates the confidence cache
             client.verify(*pair)      # answered from that cache
-            snapshot = client.stats_snapshot()["overall"]
+            snapshot = service.stats.snapshot()
         per_operation = snapshot["per_operation"]
         assert per_operation["confidence"]["cache_misses"] == 1
         assert per_operation["verify"]["cache_hits"] == 1

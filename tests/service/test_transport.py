@@ -43,7 +43,6 @@ from repro.service import (
     ReplicatedLocalCluster,
     ServiceConfig,
     ServiceOverloadedError,
-    ShardedExplanationService,
     ShardServer,
     topology_for_endpoints,
 )
@@ -622,8 +621,10 @@ class TestRemoteCluster:
         self, fitted_model, service_dataset, num_shards
     ):
         pairs = predicted_pairs(fitted_model, limit=10)
-        config = ServiceConfig(num_shards=num_shards, num_workers=2)
-        with ShardedExplanationService(fitted_model, service_dataset, config) as local:
+        # Results do not depend on the shard count: one in-process
+        # service is the reference for every cluster size.
+        config = ServiceConfig(num_workers=2)
+        with ExplanationService(fitted_model, service_dataset, config) as local:
             expected_explain = {}
             expected_confidence = {}
             expected_verify = {}
