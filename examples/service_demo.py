@@ -1,11 +1,11 @@
-"""Explanation-as-a-service demo: dispatcher-batched serving with shards.
+"""Explanation-as-a-service demo: dispatcher-batched serving in process.
 
 Trains a base model, starts the in-process explanation service, and pushes
 a skewed traffic replay through concurrent clients — the serving analogue
 of examples/quickstart.py.  Shows the three served operations (explain,
-repair-confidence, verify), cache invalidation on a KG mutation, the
-telemetry the service keeps, and the same replay fanned out across shard
-groups (bit-identical results, per-shard stats).
+repair-confidence, verify), cache invalidation on a KG mutation, and the
+telemetry the service keeps.  Sharding is a deployment of ``serve``
+processes (see docs/OPERATIONS.md, "Running a cluster").
 
 Run with:  python examples/service_demo.py
 """
@@ -21,8 +21,6 @@ from repro.service import (
     ExEAClient,
     ExplanationService,
     ServiceConfig,
-    ShardedExEAClient,
-    ShardedExplanationService,
     replay_concurrently,
 )
 
@@ -70,22 +68,6 @@ def main() -> None:
         print("\nService stats:")
         for key, value in sorted(service.stats.snapshot().items()):
             print(f"  {key:25s} {value:.3f}" if isinstance(value, float) else f"  {key:25s} {value}")
-
-    # 7. The same traffic through four shard groups: pairs hash-partition
-    #    across shards (own dispatcher, worker pool and cache each), the
-    #    client routes transparently, results stay bit-identical.
-    dataset.kg1.add_triple(removed)  # restore the graph mutated in step 5
-    sharded_config = ServiceConfig(max_batch_size=16, num_workers=1, num_shards=4)
-    with ShardedExplanationService(model, dataset, sharded_config) as sharded:
-        client = ShardedExEAClient(sharded)
-        assert client.explain(*pair) == explanation
-        elapsed = replay_concurrently(client, workload, num_clients=6)
-        snapshot = client.stats_snapshot()
-        print(f"\nSharded replay ({snapshot['num_shards']} shards): "
-              f"{len(workload)} requests in {elapsed * 1000:.0f}ms")
-        for shard_id, row in enumerate(snapshot["per_shard"]):
-            print(f"  shard {shard_id}: {row['completed']} completed, "
-                  f"hit rate {row['cache_hit_rate']:.2f}, p95 {row['p95_ms']:.2f}ms")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..baselines import BASELINE_REGISTRY
 from ..core import ExEA, ExEAConfig, ExplanationConfig, RepairConfig
@@ -34,9 +34,9 @@ from ..metrics import (
 from ..models import EAModel, make_model
 from ..service import (
     ExEAClient,
+    ExplanationService,
     ReplicatedLocalCluster,
     ServiceConfig,
-    ShardedExplanationService,
     replay_concurrently,
 )
 from .config import ExperimentScale
@@ -290,57 +290,60 @@ def run_service_experiment(
     num_clients: int = 4,
     skew: float = 1.0,
     service_config=None,
-    num_shards: int | None = None,
+    num_shards: int = 1,
     transport: str = "local",
     num_replicas: int = 2,
 ) -> ServiceRow:
-    """Replay skewed explain traffic through the (sharded) explanation service.
+    """Replay skewed explain traffic through the explanation service.
 
     Samples the fidelity protocol's pair population, builds a
-    deterministic Zipf replay over it and drives the sharded service
-    front door with *num_clients* concurrent synchronous clients — the
-    serving analogue of :func:`run_explanation_experiment`.  Results are
+    deterministic Zipf replay over it and drives the service front door
+    with *num_clients* concurrent synchronous clients — the serving
+    analogue of :func:`run_explanation_experiment`.  Results are
     bit-identical to direct engine calls at any shard count (covered by
     the service test suite); this runner measures the serving side:
     throughput, overall cache hit rate, batch occupancy and latency
-    percentiles.  *num_shards* overrides the config's shard count; the
-    reported figures merge every shard's stats.
+    percentiles.
 
-    *transport* selects the deployment axis: ``"local"`` drives the
-    in-process :class:`ShardedExplanationService`; ``"cluster"`` spawns
-    *num_replicas* real server subprocesses per shard, fed a pickled
-    snapshot of this exact model, behind the health-checked control
-    plane (:class:`~repro.service.ReplicatedLocalCluster`) and replays
-    over the wire with load-aware replica routing (``num_replicas=1`` is
-    the plain process-per-shard deployment) — same workload, same CRC-32
-    partition, bit-identical results, so the rows isolate the transport
-    and replication costs.
+    *transport* selects the deployment axis: ``"local"`` drives one
+    in-process :class:`~repro.service.ExplanationService` (a shard is a
+    process, so *num_shards* must stay 1 there); ``"cluster"`` spawns
+    *num_replicas* real server subprocesses for each of *num_shards*
+    shards, fed a pickled snapshot of this exact model, behind the
+    health-checked control plane
+    (:class:`~repro.service.ReplicatedLocalCluster`) and replays over
+    the wire with load-aware replica routing (``num_replicas=1`` is the
+    plain process-per-shard deployment) — same workload, bit-identical
+    results, so the rows isolate the transport and replication costs;
+    the reported figures merge every process's stats.
     """
     if transport not in ("local", "cluster"):
         raise ValueError(f'transport must be "local" or "cluster", got {transport!r}')
+    if transport == "local" and num_shards != 1:
+        raise ValueError(
+            f"the local transport serves one in-process service; num_shards={num_shards} "
+            'needs transport="cluster"'
+        )
     pairs = sample_correct_pairs(model, dataset, scale.explanation_sample, seed=scale.seed)
     if num_requests is None:
         num_requests = 10 * len(pairs)
     workload = replay_workload(pairs, num_requests, seed=scale.seed, skew=skew)
 
     config = service_config or ServiceConfig()
-    if num_shards is not None and num_shards != config.num_shards:
-        config = replace(config, num_shards=num_shards)
-
     if transport == "cluster":
         with ReplicatedLocalCluster(
             model,
             dataset,
-            num_shards=config.num_shards,
+            num_shards=num_shards,
             num_replicas=num_replicas,
             service_config=config,
         ) as cluster:
             seconds = replay_concurrently(cluster.client, workload, num_clients)
             stats = cluster.client.stats_snapshot()["overall"]
     else:
-        with ShardedExplanationService(model, dataset, config) as service:
+        with ExplanationService(model, dataset, config) as service:
             seconds = replay_concurrently(ExEAClient(service), workload, num_clients)
-        stats = service.stats_snapshot()["overall"]
+        stats = service.stats.snapshot()
     return ServiceRow(
         dataset=dataset.name,
         model=model.name,
@@ -352,7 +355,7 @@ def run_service_experiment(
         mean_batch_occupancy=stats["mean_batch_occupancy"],
         p50_ms=stats["p50_ms"],
         p95_ms=stats["p95_ms"],
-        num_shards=config.num_shards,
+        num_shards=num_shards,
         transport=transport,
         num_replicas=num_replicas if transport == "cluster" else 1,
     )

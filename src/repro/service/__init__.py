@@ -1,4 +1,4 @@
-"""Explanation-as-a-service: sharded operation pipeline over the batch engine.
+"""Explanation-as-a-service: a batching operation pipeline over the batch engine.
 
 This package is the serving layer over the PR-1 batch engine (see
 ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
@@ -16,14 +16,12 @@ ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
   scheduler packing cross-worker, operation-homogeneous batches.
 * :mod:`~repro.service.service` — :class:`ExplanationService` tying them
   together and the synchronous :class:`ExEAClient` facade.
-* :mod:`~repro.service.sharding` — :class:`ShardRouter` +
-  :class:`ShardedExplanationService` / :class:`ShardedExEAClient`:
-  hash-partitioned shard groups, each with its own dispatcher, worker
-  pool, cache and generation token.
+* :mod:`~repro.service.sharding` — :class:`ShardRouter`, the CRC-32
+  partition that maps a pair to the ``serve`` process (shard) that
+  answers it.
 * :mod:`~repro.service.stats` — :class:`ServiceStats` telemetry (hit
   rate, per-operation attribution, batch occupancy, p50/p95 latency from
-  the request histogram) and
-  :func:`merge_stats` / :func:`merge_raw` for overall-across-shards
+  the request histogram) and :func:`merge_raw` for overall-across-shards
   reporting.
 * :mod:`~repro.service.observability` — the tracing/metrics plane:
   :class:`TraceContext` propagation through every layer and the wire,
@@ -31,9 +29,9 @@ ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
   :func:`stitch_trace`, log-bucketed per-stage histograms, the
   slow-request log, and the :func:`prometheus_text` exporter.
 * :mod:`~repro.service.transport` — the process boundary:
-  :class:`ShardServer` hosts one shard group per server process behind
-  length-prefixed binary frames, and :class:`RemoteShardClient` is the
-  channel to one such server.
+  :class:`ShardServer` hosts one service per server process (one shard)
+  behind length-prefixed binary frames, and :class:`RemoteShardClient`
+  is the channel to one such server.
 * :mod:`~repro.service.cluster` — the control plane over that transport:
   a declarative :class:`ClusterTopology` (shard → replica endpoints +
   weights), :class:`ClusterManager` health checking with a
@@ -45,9 +43,9 @@ ROADMAP.md, "Service architecture").  The pieces compose bottom-up:
   fleet, addressed with :func:`topology_for_endpoints`).
 
 ``python -m repro.service`` serves a scripted traffic replay against a
-registry dataset end to end (``--shards N`` fans the pipeline out);
-``python -m repro.service serve`` / ``cluster`` run the remote
-transport and the replicated control plane (see
+registry dataset end to end through one in-process service;
+``python -m repro.service serve`` / ``cluster`` run the shard processes
+and the replicated control plane over them (see
 ``docs/OPERATIONS.md``).
 """
 
@@ -93,8 +91,8 @@ from .service import (
     MutationSpec,
     replay_concurrently,
 )
-from .sharding import ShardedExEAClient, ShardedExplanationService, ShardRouter
-from .stats import ServiceStats, WireCounters, imbalance_summary, merge_raw, merge_stats
+from .sharding import ShardRouter
+from .stats import ServiceStats, WireCounters, imbalance_summary, merge_raw
 from .transport import RemoteShardClient, ShardServer
 from .worker import WorkerPool
 
@@ -127,8 +125,6 @@ __all__ = [
     "ServiceStats",
     "ShardRouter",
     "ShardServer",
-    "ShardedExEAClient",
-    "ShardedExplanationService",
     "Span",
     "SpanRecorder",
     "TopologyError",
@@ -139,7 +135,6 @@ __all__ = [
     "imbalance_summary",
     "load_topology",
     "merge_raw",
-    "merge_stats",
     "new_trace",
     "parse_topology",
     "prometheus_text",

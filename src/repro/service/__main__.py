@@ -4,12 +4,12 @@ Five subcommands (see ``docs/OPERATIONS.md`` for the full reference):
 
 * ``replay`` (the default when no subcommand is given, preserving the
   historic invocation) — load a registry dataset, fit a model, serve a
-  scripted Zipf traffic replay through the in-process sharded service::
+  scripted Zipf traffic replay through one in-process service::
 
       PYTHONPATH=src python -m repro.service --dataset ZH-EN --model Dual-AMN \\
-          --requests 400 --clients 8 --workers 2 --shards 4 --mix mixed
+          --requests 400 --clients 8 --workers 2 --mix mixed
 
-* ``serve`` — host ONE shard group in THIS process behind a TCP/Unix
+* ``serve`` — host ONE shard in THIS process behind a TCP/Unix
   socket (run one such process per shard)::
 
       PYTHONPATH=src python -m repro.service serve --dataset ZH-EN \\
@@ -47,11 +47,11 @@ Five subcommands (see ``docs/OPERATIONS.md`` for the full reference):
 
 All of the replay subcommands print a JSON report; ``--stats-json PATH``
 additionally dumps the raw :class:`~repro.service.stats.ServiceStats`
-snapshot (overall + per-shard rows) for machine consumption and
-``--metrics-out PATH`` writes the same telemetry in Prometheus text
-format.  Replays are deterministic (seeded Zipf traffic over the model's
-predicted pairs) and results are bit-identical across ``--shards``
-choices and the in-process/remote boundary.
+snapshot (``overall``, plus per-shard rows for ``cluster``) for machine
+consumption and ``--metrics-out PATH`` writes the same telemetry in
+Prometheus text format.  Replays are deterministic (seeded Zipf traffic
+over the model's predicted pairs) and results are bit-identical across
+shard counts and the in-process/remote boundary.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ from .observability import (
     render_diagnosis,
     resolve_objectives,
 )
-from .service import CONFIDENCE, EXPLAIN, VERIFY, ExEAClient, replay_concurrently
-from .sharding import ShardedExplanationService
+from .service import CONFIDENCE, EXPLAIN, VERIFY, ExEAClient, ExplanationService, replay_concurrently
 from .transport import DEFAULT_MAX_FRAME_BYTES, ShardServer, read_snapshot
 
 SUBCOMMANDS = ("replay", "serve", "cluster", "metrics", "doctor")
@@ -106,7 +105,7 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     """ServiceConfig knobs shared by every subcommand that builds a service."""
-    parser.add_argument("--workers", type=int, default=2, help="worker threads per shard")
+    parser.add_argument("--workers", type=int, default=2, help="worker threads per process")
     parser.add_argument("--max-batch-size", type=int, default=32)
     parser.add_argument("--queue-capacity", type=int, default=1024)
     parser.add_argument("--cache-capacity", type=int, default=4096)
@@ -146,7 +145,7 @@ def _add_traffic_arguments(parser: argparse.ArgumentParser) -> None:
         "--stats-json",
         dest="stats_json_path",
         default=None,
-        help="write the raw ServiceStats snapshot (overall + per-shard rows) here",
+        help="write the raw ServiceStats snapshot (overall, plus per-shard rows for cluster) here",
     )
     parser.add_argument(
         "--metrics-out",
@@ -263,7 +262,7 @@ def _tail_sampler(args: argparse.Namespace) -> TailSampler | None:
     return TailSampler(config)
 
 
-def _service_config(args: argparse.Namespace, num_shards: int = 1) -> ServiceConfig:
+def _service_config(args: argparse.Namespace) -> ServiceConfig:
     """Build the ServiceConfig from parsed CLI knobs."""
     return ServiceConfig(
         max_batch_size=args.max_batch_size,
@@ -271,7 +270,6 @@ def _service_config(args: argparse.Namespace, num_shards: int = 1) -> ServiceCon
         num_workers=args.workers,
         cache_capacity=args.cache_capacity,
         default_deadline_ms=args.deadline_ms,
-        num_shards=num_shards,
         trace_buffer=args.trace_buffer,
         slow_request_ms=args.slow_ms,
     )
@@ -308,7 +306,7 @@ def _emit_report(report: dict, stats: dict, args: argparse.Namespace) -> None:
 
 
 # ----------------------------------------------------------------------
-# replay — the in-process sharded replay (historic default)
+# replay — the in-process replay (historic default)
 # ----------------------------------------------------------------------
 def build_replay_parser() -> argparse.ArgumentParser:
     """Parser of the (default) in-process ``replay`` subcommand."""
@@ -319,7 +317,7 @@ def build_replay_parser() -> argparse.ArgumentParser:
             "(the `replay` subcommand, and the default when no subcommand is given)."
         ),
         epilog=(
-            "other subcommands: `serve` hosts one shard group behind a TCP/Unix socket "
+            "other subcommands: `serve` hosts one shard behind a TCP/Unix socket "
             "(one process per shard); `cluster` replays traffic against running shard "
             "servers, one per shard or a replicated topology with failover. "
             "Run `python -m repro.service serve --help` / `cluster --help`, "
@@ -329,9 +327,6 @@ def build_replay_parser() -> argparse.ArgumentParser:
     _add_model_arguments(parser)
     _add_traffic_arguments(parser)
     _add_service_arguments(parser)
-    parser.add_argument(
-        "--shards", type=int, default=1, help="shard groups the pair space partitions into"
-    )
     return parser
 
 
@@ -340,21 +335,20 @@ build_parser = build_replay_parser
 
 
 def replay_main(argv: list[str]) -> int:
-    """Fit a model and replay traffic through the in-process sharded service."""
+    """Fit a model and replay traffic through one in-process service."""
     args = build_replay_parser().parse_args(argv)
     model, dataset = _fit_model(args)
     workload = _workload(args, sorted(model.predict().pairs))
-    config = _service_config(args, num_shards=args.shards)
+    config = _service_config(args)
 
     print(
-        f"[service] replaying {len(workload)} requests over {args.clients} clients "
-        f"({args.shards} shard(s)) ...",
+        f"[service] replaying {len(workload)} requests over {args.clients} clients ...",
         file=sys.stderr,
     )
-    with ShardedExplanationService(model, dataset, config) as service:
+    with ExplanationService(model, dataset, config) as service:
         elapsed = replay_concurrently(ExEAClient(service), workload, args.clients)
 
-    stats = service.stats_snapshot()
+    stats = {"overall": service.stats.snapshot(), "slow_requests": service.slow_requests()}
     report = {
         "dataset": dataset.name,
         "model": model.name,
@@ -364,13 +358,11 @@ def replay_main(argv: list[str]) -> int:
         "seconds": elapsed,
         "requests_per_second": len(workload) / elapsed if elapsed > 0 else 0.0,
         "service": stats["overall"],
-        "num_shards": stats["num_shards"],
         "config": {
             "max_batch_size": config.max_batch_size,
             "queue_capacity": config.queue_capacity,
             "num_workers": config.num_workers,
             "cache_capacity": config.cache_capacity,
-            "num_shards": config.num_shards,
         },
     }
     _emit_report(report, stats, args)
@@ -378,13 +370,13 @@ def replay_main(argv: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# serve — one shard group behind a socket, in this process
+# serve — one shard behind a socket, in this process
 # ----------------------------------------------------------------------
 def build_serve_parser() -> argparse.ArgumentParser:
     """Parser of the ``serve`` subcommand (one shard server process)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.service serve",
-        description="Host one shard group of the explanation service behind a socket.",
+        description="Host one shard of the explanation service behind a socket.",
     )
     parser.add_argument(
         "--snapshot",
@@ -443,10 +435,8 @@ def serve_main(argv: list[str]) -> int:
         model, dataset = _fit_model(args)
         config = _service_config(args)
 
-    # Each server process hosts exactly ONE shard group; cross-process
-    # sharding is the client's CRC-32 routing over --num-shards endpoints.
-    from .service import ExplanationService
-
+    # Each server process hosts exactly ONE shard; sharding is the
+    # client's CRC-32 routing over --num-shards endpoints.
     service = ExplanationService(model, dataset, config, exea_config=exea_config)
     server_kwargs = {}
     if args.lease_ttl is not None:

@@ -1,6 +1,6 @@
 """Cluster control plane: replicated shards, health-checked failover, load-aware routing.
 
-PR 4's transport put each shard group in its own process but left the
+PR 4's transport put each shard in its own process but left the
 topology a static, ordered endpoint list: one dead process takes its pair
 partition offline and routing ignores load entirely.  This package adds
 the fleet-operation layer in front of that transport:

@@ -2,7 +2,7 @@
 
 :class:`ClusterClient` speaks the exact call surface of the in-process
 :class:`~repro.service.service.ExEAClient` (``explain`` / ``confidence``
-/ ``verify`` / ``explain_many`` / ``replay``) plus the sharded extras
+/ ``verify`` / ``explain_many`` / ``replay``) plus the shard extras
 (``shard_of``, ``stats_snapshot``) and the cluster-wide operations
 (``invalidate``, ``pairs``), but routes every read across the *replicas*
 of the pair's shard instead of a single endpoint:
@@ -26,19 +26,19 @@ of the pair's shard instead of a single endpoint:
   replica of every shard, because each replica process holds its own
   versioned cache.
 * **Fixed partition** — a pair's shard is the CRC-32 partition of
-  :class:`~repro.service.sharding.ShardRouter`, the same one the
-  in-process sharded service uses; failover stays inside that shard's
-  replicas.
+  :class:`~repro.service.sharding.ShardRouter`, the same one each
+  shard server counts its partition with; failover stays inside that
+  shard's replicas.
 * **Zone-aware failover** — after a replica fails mid-request, the
   retry prefers surviving replicas in a *different* zone than the
   failed ones: a correlated failure domain (rack power, ToR switch)
   should not eat every retry.  Replicas whose liveness lease was
   revoked leave preferred routing the same way unhealthy ones do.
 
-Determinism is unchanged: which replica answers is a pure deployment
-decision (all replicas of a shard serve the same snapshot and the codec
-round-trips exactly), so results stay bit-identical to the in-process
-sharded service at the same shard count — through failovers and lease
+Determinism is unchanged: which shard and which replica answer is a
+pure deployment decision (every process serves the same snapshot and
+the codec round-trips exactly), so results stay bit-identical to one
+in-process service at any shard count — through failovers and lease
 revocations alike.
 
 A plain process-per-shard fleet is the one-replica case:

@@ -3,7 +3,7 @@
 :class:`ReplicatedLocalCluster` is the deployment in a box.  It pickles
 the fitted model + dataset (plus the service/ExEA configs) into a
 snapshot file, spawns *num_replicas* independent
-``python -m repro.service serve`` subprocesses per shard group against
+``python -m repro.service serve`` subprocesses per shard against
 it, and waits for each server's ``READY`` line to learn its ephemeral
 port.  Every replica of every shard deserialises the same snapshot, so
 they serve identical model bytes and the failover path is bit-identical
@@ -38,7 +38,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from ..config import ServiceConfig
@@ -70,9 +69,9 @@ class ReplicatedLocalCluster:
             cluster.kill_replica(shard_id=0, replica_index=1)  # reads keep succeeding
 
     ``replicas[k][r]`` is replica *r* of shard *k*; ``processes`` is the
-    same handles as one flat shard-major list.  ``service_config``'s
-    ``num_shards`` is overridden by *num_shards*: each process hosts
-    exactly one shard group.
+    same handles as one flat shard-major list.  Every process serves one
+    :class:`~repro.service.service.ExplanationService` under
+    ``service_config``.
     """
 
     def __init__(
@@ -127,11 +126,7 @@ class ReplicatedLocalCluster:
             self._workdir / "snapshot.pkl",
             self.model,
             self.dataset,
-            # Each process hosts exactly one shard group, so the config it
-            # serves under says so — a num_shards left at the cluster size
-            # would misdescribe the in-process topology to anything that
-            # reads it inside the shard.
-            service_config=replace(self.service_config, num_shards=1),
+            service_config=self.service_config,
             exea_config=self.exea_config,
         )
 

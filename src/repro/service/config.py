@@ -7,14 +7,17 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tuning knobs of the micro-batching explanation service.
+    """Tuning knobs of one micro-batching explanation service.
+
+    One config sizes one process's service; a cluster of ``serve``
+    processes runs every shard under the same config.
 
     Attributes:
         max_batch_size: upper bound on the number of requests the
             dispatcher gathers into one cycle (and therefore on the size
             of any batch handed to a worker).  A cycle never waits for
-            more requests: it holds whatever queued while the shard was
-            busy, so a lone request reaches a worker at once.
+            more requests: it holds whatever queued while the service
+            was busy, so a lone request reaches a worker at once.
         queue_capacity: admission-control bound on queued requests;
             submissions beyond it fail fast with
             :class:`~repro.service.errors.ServiceOverloadedError`.
@@ -24,11 +27,6 @@ class ServiceConfig:
             result cache (LRU eviction).
         default_deadline_ms: per-request deadline applied when a request
             does not carry its own; ``None`` means no deadline.
-        num_shards: how many shard groups
-            :class:`~repro.service.sharding.ShardedExplanationService`
-            partitions the pair space into; each shard gets its own
-            dispatcher, worker pool and result cache.  Plain
-            :class:`~repro.service.service.ExplanationService` ignores it.
         trace_buffer: capacity of the per-process span ring buffer that
             holds stage spans of traced requests; ``0`` disables span
             recording entirely (stage histograms keep working).
@@ -49,7 +47,6 @@ class ServiceConfig:
     num_workers: int = 2
     cache_capacity: int = 4096
     default_deadline_ms: float | None = None
-    num_shards: int = 1
     trace_buffer: int = 2048
     slow_request_ms: float | None = None
     slow_log_capacity: int = 128
@@ -66,8 +63,6 @@ class ServiceConfig:
             raise ValueError("cache_capacity must be >= 0")
         if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be positive when set")
-        if self.num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
         if self.trace_buffer < 0:
             raise ValueError("trace_buffer must be >= 0")
         if self.slow_request_ms is not None and self.slow_request_ms < 0:

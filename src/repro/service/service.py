@@ -66,7 +66,7 @@ import time
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..core import ExEA, ExEAConfig
 from ..core.repair.rules import mine_not_same_as_rules, mine_relation_alignment
@@ -130,9 +130,7 @@ class _MutationGate:
     walks shared KG indexes that a concurrent mutation would rewrite
     under it — and :meth:`ExplanationService.mutate` holds the write side
     while it edits the graphs and advances the cache.  A writer blocks
-    new readers and waits for in-flight ones to drain.  The sharded
-    service shares one gate across its shards, since they share the
-    graphs.
+    new readers and waits for in-flight ones to drain.
     """
 
     def __init__(self) -> None:
@@ -179,8 +177,6 @@ class ExplanationService:
         dataset: EADataset | None = None,
         config: ServiceConfig | None = None,
         exea_config: ExEAConfig | None = None,
-        reference_provider: Callable[[], AlignmentSet] | None = None,
-        mutation_gate: _MutationGate | None = None,
     ) -> None:
         if not model.is_fitted:
             raise ValueError("the EA model must be fitted before serving explanations")
@@ -214,15 +210,11 @@ class ExplanationService:
             precheck=self._precheck,
             on_gather=self.stats.record_batch,
         )
-        #: when set, replaces the per-service reference-alignment compute —
-        #: the sharded service shares one reference across its shards
-        self._reference_provider = reference_provider
         self._reference_lock = threading.Lock()
         self._reference_alignment: AlignmentSet | None = None
         self._reference_version: int | None = None
-        #: pauses batch execution while a mutation rewrites the graphs;
-        #: the sharded service passes one shared gate to every shard
-        self._mutation_gate = mutation_gate or _MutationGate()
+        #: pauses batch execution while a mutation rewrites the graphs
+        self._mutation_gate = _MutationGate()
         #: while a mutation is in flight, lookups see the pre-mutation
         #: token instead of a half-advanced live one (see ``mutate``)
         self._token_override: GenerationToken | None = None
@@ -294,8 +286,6 @@ class ExplanationService:
         seed alignment — not on the graphs — so it survives online KG
         mutations and is keyed on the embedding version alone.
         """
-        if self._reference_provider is not None:
-            return self._reference_provider()
         version = self.model.embedding_version
         with self._reference_lock:
             if self._reference_alignment is None or self._reference_version != version:
@@ -594,23 +584,20 @@ class ExplanationService:
             if not isinstance(spec, MutationSpec):
                 raise TypeError(f"expected MutationSpec, got {type(spec).__name__}")
         with self._mutation_gate.write():
-            return self._mutate_locked(specs)
-
-    def _mutate_locked(self, specs: list[MutationSpec]) -> dict:
-        """Apply *specs* and reconcile the cache (caller holds the write gate)."""
-        old_token = self._token()
-        artifacts_before = self._mined_artifacts()
-        self._token_override = old_token
-        try:
-            records1, records2 = self._apply_specs(specs)
-            new_token = self._live_token()
-            scopes, blast = self._compute_scopes(records1, records2, artifacts_before)
-            report = self._advance_cache(new_token, scopes, blast)
-        finally:
-            # Cleared only after the cache reached the new token: a lookup
-            # racing this window sees either the pinned old token (its
-            # entries are still the pre-mutation ones) or the new one.
-            self._token_override = None
+            old_token = self._token()
+            artifacts_before = self._mined_artifacts()
+            self._token_override = old_token
+            try:
+                records1, records2 = self._apply_specs(specs)
+                new_token = self._live_token()
+                scopes, blast = self._compute_scopes(records1, records2, artifacts_before)
+                report = self._advance_cache(new_token, scopes, blast)
+            finally:
+                # Cleared only after the cache reached the new token: a
+                # lookup racing this window sees either the pinned old
+                # token (its entries are still the pre-mutation ones) or
+                # the new one.
+                self._token_override = None
         report["applied"] = len(specs)
         report["token"] = list(new_token)
         # Internal (not JSON-safe): the per-kind entity scopes, so hosts

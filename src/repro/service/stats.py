@@ -8,10 +8,10 @@ value lives under the ``confidence`` cache key.
 
 Latency lives in the fixed-ladder histograms of ``stages``; the snapshot's
 ``p50_ms``/``p95_ms`` are estimates from the whole-request ``request``
-histogram.  :func:`merge_stats` combines the stats of several shards into
-one overall snapshot — counters and histogram buckets are summed, so the
-merge is exact — which is how the sharded service reports "overall"
-figures next to its per-shard rows.
+histogram.  :func:`merge_raw` combines the raw counters of several
+server processes into one overall snapshot — counters and histogram
+buckets are summed, so the merge is exact — which is how the cluster
+client reports "overall" figures next to its per-shard rows.
 """
 
 from __future__ import annotations
@@ -340,30 +340,19 @@ def imbalance_summary(values: Iterable[float]) -> dict:
     }
 
 
-def merge_stats(stats: Iterable[ServiceStats]) -> dict:
-    """One overall snapshot across several :class:`ServiceStats` objects.
-
-    Counters and histogram buckets are summed and the per-operation
-    attribution is merged, so the overall p50/p95 reflect every shard's
-    requests (``max_batch_size`` takes the max, as it is a high
-    watermark rather than a sum).  The result carries a
-    ``shard_imbalance.request_share`` summary (max/mean submitted across
-    the merged parts) so a skewed partition is visible in the overall
-    row, not only by eyeballing the per-shard ones.
-    """
-    return merge_raw(shard_stats.raw() for shard_stats in stats)
-
-
 def merge_raw(parts: Iterable[dict]) -> dict:
     """Merge raw counters parts (:meth:`ServiceStats.raw`) into one overall snapshot.
 
-    The raw-parts form of :func:`merge_stats`: this is what the remote
-    transport uses to aggregate the per-process stats payloads fetched
-    from every shard server, and what :func:`merge_stats` delegates to
-    for in-process shards.  The input parts are left untouched (the
-    accumulator starts from its own copy), so the same raw payloads can
-    feed several aggregations — e.g. a cluster's overall *and* per-shard
-    merges.
+    This is how the cluster client aggregates the per-process stats
+    payloads fetched from every server.  Counters and histogram buckets
+    are summed and the per-operation attribution is merged, so the
+    overall p50/p95 reflect every part's requests (``max_batch_size``
+    takes the max, as it is a high watermark rather than a sum).  The
+    result carries a ``shard_imbalance.request_share`` summary (max/mean
+    submitted across the merged parts).  The input parts are left
+    untouched (the accumulator starts from its own copy), so the same
+    raw payloads can feed several aggregations — e.g. a cluster's
+    overall *and* per-shard merges.
     """
     total: dict = {}
     per_part_submitted: list[int] = []

@@ -1,10 +1,11 @@
 """Remote shard transport: process-per-shard serving over stream sockets.
 
-This package puts the first process boundary into the service stack.  The
-in-process :class:`~repro.service.sharding.ShardedExplanationService`
-already partitions the pair space into CRC-32-stable shard groups; here
-each shard group moves into its own server process and the client facade
-speaks to them over a thin wire protocol.  The pieces, bottom-up:
+This package puts the process boundary into the service stack.  A shard
+is one server process hosting one
+:class:`~repro.service.service.ExplanationService`; the client routes
+each pair to its shard by the CRC-32 partition of
+:class:`~repro.service.sharding.ShardRouter` and speaks to the servers
+over a thin wire protocol.  The pieces, bottom-up:
 
 * :mod:`~repro.service.transport.framing` — length-prefixed frames over
   TCP/Unix sockets, with oversized-frame rejection and typed
@@ -17,7 +18,7 @@ speaks to them over a thin wire protocol.  The pieces, bottom-up:
   kinds (explanations round-trip bit-identically) and the error mapping
   that carries backpressure/deadline semantics across the wire.
 * :mod:`~repro.service.transport.server` — :class:`ShardServer`, hosting
-  one shard group's :class:`~repro.service.service.ExplanationService`
+  one shard's :class:`~repro.service.service.ExplanationService`
   behind a socket (``python -m repro.service serve``).
 * :mod:`~repro.service.transport.client` — :class:`RemoteShardClient`,
   the request/response channel to one shard server (a pool of blocking

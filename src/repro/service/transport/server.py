@@ -1,14 +1,14 @@
-"""The per-shard server process: one shard group behind a socket.
+"""The per-shard server process: one shard behind a socket.
 
 :class:`ShardServer` hosts exactly one
-:class:`~repro.service.service.ExplanationService` — i.e. one shard group
+:class:`~repro.service.service.ExplanationService` — one shard
 (dispatcher + worker pool + versioned cache) — and exposes it over a
 TCP or Unix stream socket using the length-prefixed framing of
 :mod:`~repro.service.transport.framing`.  A cluster is therefore *N*
-independent server processes; the client routes pairs with the same
-CRC-32 :class:`~repro.service.sharding.ShardRouter` the in-process
-sharded service uses, which is what keeps remote results bit-identical to
-in-process sharded results at the same shard count.
+independent server processes; the client routes pairs by the CRC-32
+:class:`~repro.service.sharding.ShardRouter`.  Every process serves the
+same snapshot, so remote results are bit-identical to one in-process
+service at any shard count.
 
 Every frame body is a binary v2 body
 (:mod:`~repro.service.transport.wire`).  A body that does not decode is
@@ -90,7 +90,7 @@ def parse_listen_address(listen: str) -> tuple[int, object]:
 
 
 class ShardServer:
-    """Serve one shard group's :class:`ExplanationService` over a socket."""
+    """Serve one shard's :class:`ExplanationService` over a socket."""
 
     def __init__(
         self,

@@ -141,6 +141,11 @@ class TestRunners:
         with pytest.raises(ValueError):
             run_service_experiment(model, dataset, scale, transport="carrier-pigeon")
 
+    def test_service_experiment_local_transport_is_one_shard(self, model, dataset, scale):
+        """A shard is a process: the in-process transport refuses a shard count."""
+        with pytest.raises(ValueError, match="num_shards=2"):
+            run_service_experiment(model, dataset, scale, num_shards=2)
+
 
 class TestTables:
     def test_format_table_alignment(self):

@@ -12,9 +12,10 @@ Four layers of coverage:
 * **Replicated cluster integration** — `ReplicatedLocalCluster` spawns
   real ``serve`` subprocesses at shards=2 x replicas=2: killing one
   replica mid-replay (via ``faultlib.ChaosController``) completes with
-  **zero failed requests** and results bit-identical to the in-process
-  sharded service; ``invalidate`` fans out to every replica of every
-  shard; the ``cluster`` CLI subcommand replays against a topology file.
+  **zero failed requests** and results bit-identical to one in-process
+  service; the stats snapshot merges every process's counters exactly;
+  ``invalidate`` fans out to every replica of every shard; the
+  ``cluster`` CLI subcommand replays against a topology file.
 
 Fault injection and the shared workload helpers live in ``faultlib``
 (the seeded fleet-chaos suite in ``test_fleet.py`` builds on the same

@@ -1,35 +1,30 @@
-"""Sharded serving tests: bit-identical results at any shard count,
-per-shard backpressure and deadlines, concurrent determinism, stats
-aggregation, and the dispatcher's per-operation batch packing."""
+"""Shard routing and scheduling tests: the CRC-32 router's partition,
+the per-shard imbalance summary, per-operation hit attribution, and the
+dispatcher's per-operation batch packing.
 
-import random
+Results across shard counts and the exact cluster stats merge are
+checked over real shard processes in ``test_transport.py`` and
+``test_cluster.py``; a shard is one ``serve`` process.
+"""
+
 import threading
-import time
 
 import pytest
 
-from repro.core import ExEA
 from repro.service import (
     CONFIDENCE,
     EXPLAIN,
     VERIFY,
-    DeadlineExceededError,
     Dispatcher,
     ExEAClient,
     ExplanationService,
     MicroBatcher,
     RequestQueue,
     ServiceConfig,
-    ServiceOverloadedError,
     ServiceRequest,
-    ShardedExEAClient,
-    ShardedExplanationService,
     ShardRouter,
     WorkerPool,
-    merge_stats,
-    replay_concurrently,
 )
-from repro.datasets import replay_workload
 
 
 def predicted_pairs(model, limit=20):
@@ -62,163 +57,9 @@ class TestShardRouter:
 
 
 # ----------------------------------------------------------------------
-# Bit-identical results across shard counts
-# ----------------------------------------------------------------------
-class TestShardedEquivalence:
-    def test_results_identical_across_shard_counts(self, fitted_model, service_dataset):
-        pairs = predicted_pairs(fitted_model, limit=12)
-        direct = ExEA(fitted_model, service_dataset)
-        reference = direct.reference_alignment()
-        expected_explain = {pair: direct.explain(*pair) for pair in pairs}
-        expected_confidence = {
-            pair: direct.repairer.confidence(*pair, reference) for pair in pairs
-        }
-
-        for num_shards in (1, 4):
-            config = ServiceConfig(num_shards=num_shards, num_workers=2)
-            with ShardedExplanationService(fitted_model, service_dataset, config) as service:
-                client = ShardedExEAClient(service)
-                for pair in pairs:
-                    assert client.explain(*pair) == expected_explain[pair]
-                    assert client.confidence(*pair) == expected_confidence[pair]
-                    assert client.verify(*pair) == (
-                        expected_confidence[pair] > service.verify_threshold
-                    )
-
-
-# ----------------------------------------------------------------------
-# Per-shard admission control and deadlines
-# ----------------------------------------------------------------------
-class TestPerShardBackpressure:
-    def _same_shard_pairs(self, router, pairs, count):
-        """Pick *count* pairs that route to one shard, plus one that doesn't."""
-        by_shard = router.partition(pairs)
-        shard, members = max(by_shard.items(), key=lambda item: len(item[1]))
-        other = next(
-            (pair for other_shard, rest in by_shard.items() if other_shard != shard for pair in rest),
-            None,
-        )
-        assert len(members) >= count, "test dataset routed too unevenly"
-        return members[:count], other
-
-    def test_full_shard_sheds_while_others_accept(self, fitted_model, service_dataset):
-        pairs = predicted_pairs(fitted_model, limit=20)
-        config = ServiceConfig(num_shards=2, queue_capacity=2, num_workers=1)
-        service = ShardedExplanationService(fitted_model, service_dataset, config)
-        same, other = self._same_shard_pairs(service.router, pairs, 3)
-        # Workers are intentionally not started: queues can only fill.
-        service.submit(EXPLAIN, *same[0])
-        service.submit(EXPLAIN, *same[1])
-        with pytest.raises(ServiceOverloadedError):
-            service.submit(EXPLAIN, *same[2])
-        if other is not None:  # the sibling shard still has capacity
-            service.submit(EXPLAIN, *other)
-        overall = service.stats_snapshot()["overall"]
-        assert overall["rejected"] == 1
-        service.close(drain=False)
-
-    def test_deadlines_enforced_per_shard(self, fitted_model, service_dataset):
-        pairs = predicted_pairs(fitted_model, limit=4)
-        config = ServiceConfig(num_shards=2, num_workers=1)
-        service = ShardedExplanationService(fitted_model, service_dataset, config)
-        futures = [service.submit(EXPLAIN, *pair, deadline_ms=1.0) for pair in pairs]
-        time.sleep(0.05)  # let every deadline lapse while nothing serves
-        service.start()
-        for future in futures:
-            with pytest.raises(DeadlineExceededError):
-                future.result(30)
-        assert service.stats_snapshot()["overall"]["expired"] == len(pairs)
-        service.close()
-
-
-# ----------------------------------------------------------------------
-# Concurrency: determinism with many clients over many shards
-# ----------------------------------------------------------------------
-class TestShardedConcurrency:
-    def test_concurrent_clients_get_identical_results(self, fitted_model, service_dataset):
-        pairs = predicted_pairs(fitted_model, limit=15)
-        direct = ExEA(fitted_model, service_dataset)
-        expected = {pair: direct.explain(*pair) for pair in pairs}
-
-        config = ServiceConfig(num_shards=3, num_workers=2, max_batch_size=8)
-        results: list[dict] = []
-        errors: list[BaseException] = []
-
-        def run_client(seed: int, client: ShardedExEAClient) -> None:
-            order = list(pairs)
-            random.Random(seed).shuffle(order)
-            try:
-                results.append(
-                    {pair: client.explain(pair[0], pair[1], timeout=60) for pair in order}
-                )
-            except BaseException as error:  # noqa: BLE001 - surfaced below
-                errors.append(error)
-
-        with ShardedExplanationService(fitted_model, service_dataset, config) as service:
-            client = ShardedExEAClient(service)
-            threads = [
-                threading.Thread(target=run_client, args=(seed, client)) for seed in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-
-        assert not errors
-        assert len(results) == 6
-        for served in results:
-            assert all(served[pair] == expected[pair] for pair in pairs)
-        assert service.stats_snapshot()["overall"]["completed"] == 6 * len(pairs)
-
-
-# ----------------------------------------------------------------------
-# Telemetry: per-shard rows, overall merge, per-operation attribution
+# Telemetry: the imbalance summary and per-operation attribution
 # ----------------------------------------------------------------------
 class TestShardedStats:
-    def test_overall_merges_per_shard_counters(self, fitted_model, service_dataset):
-        pairs = predicted_pairs(fitted_model, limit=10)
-        workload = replay_workload(
-            pairs, 200, seed=5, skew=1.0, kinds=(EXPLAIN, CONFIDENCE, VERIFY)
-        )
-        config = ServiceConfig(num_shards=3, num_workers=1)
-        with ShardedExplanationService(fitted_model, service_dataset, config) as service:
-            replay_concurrently(ExEAClient(service), workload, num_clients=4)
-        snapshot = service.stats_snapshot()
-        assert snapshot["num_shards"] == 3
-        assert len(snapshot["per_shard"]) == 3
-        overall = snapshot["overall"]
-        for key in ("submitted", "completed", "cache_hits", "cache_misses", "num_batches"):
-            assert overall[key] == sum(row[key] for row in snapshot["per_shard"])
-        assert overall["completed"] == len(workload)
-        # merge_stats over the shard stats objects agrees with the snapshot.
-        assert merge_stats(service.stats)["completed"] == overall["completed"]
-
-    def test_shard_imbalance_metric_reports_request_and_pair_skew(
-        self, fitted_model, service_dataset
-    ):
-        """The overall snapshot carries max/mean request share and pair
-        count across shards (the skewed-partition telemetry)."""
-        pairs = predicted_pairs(fitted_model, limit=10)
-        workload = replay_workload(pairs, 120, seed=5, skew=1.5, kinds=(EXPLAIN,))
-        config = ServiceConfig(num_shards=3, num_workers=1)
-        with ShardedExplanationService(fitted_model, service_dataset, config) as service:
-            replay_concurrently(ExEAClient(service), workload, num_clients=4)
-            pair_counts = service.pairs_per_shard()
-        snapshot = service.stats_snapshot()
-        imbalance = snapshot["overall"]["shard_imbalance"]
-        submitted = [row["submitted"] for row in snapshot["per_shard"]]
-        assert imbalance["request_share"]["max"] == max(submitted)
-        assert imbalance["request_share"]["mean"] == pytest.approx(
-            sum(submitted) / len(submitted)
-        )
-        assert imbalance["request_share"]["max_over_mean"] >= 1.0
-        # Pair counts partition the reference alignment exactly.
-        assert snapshot["pairs_per_shard"] == pair_counts
-        assert imbalance["pair_count"]["max"] == max(pair_counts)
-        assert sum(pair_counts) == len(
-            service.shards[0]._backends[0].generator.reference_alignment().pairs
-        )
-
     def test_imbalance_summary_handles_empty_and_zero_inputs(self):
         from repro.service import imbalance_summary
 

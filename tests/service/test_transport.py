@@ -14,7 +14,7 @@ Three layers of coverage:
 * **Process-per-shard integration** — a one-replica
   `ReplicatedLocalCluster` spawns real
   ``python -m repro.service serve`` subprocesses: results are
-  bit-identical to the in-process sharded service at shards ∈ {1, 2},
+  bit-identical to one in-process service at shards ∈ {1, 2},
   replay/explain_many preserve order, stats merge across processes,
   ``invalidate`` fans out to every shard, and a killed shard fails its
   pairs while the surviving shard keeps serving.

@@ -1,9 +1,9 @@
 """The example scripts must run end to end.
 
 ``examples/service_demo.py`` drives the public serving API (service,
-client, concurrent replay, sharding) the way a user would; running it in
-a fresh interpreter catches a signature change the unit tests adapt to
-but the example does not.
+client, concurrent replay, telemetry) the way a user would; running it
+in a fresh interpreter catches a signature change the unit tests adapt
+to but the example does not.
 """
 
 import subprocess
@@ -21,4 +21,4 @@ def test_service_demo_runs():
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    assert "Sharded replay" in result.stdout
+    assert "Replayed" in result.stdout
