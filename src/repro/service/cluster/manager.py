@@ -24,10 +24,11 @@ out of preferred routing *before* the consecutive-miss detector would
 catch it, which is exactly the half-dead (SIGSTOP'd, deadlocked,
 GC-wedged) failure mode ping counts alone cannot see.
 
-Every ``stats_every``-th cycle also reads each replica's ``request``
-histogram and publishes the p95 of the requests recorded since the
-previous stats probe — a windowed figure, so a slow spell stops
-counting against a replica one stats cycle after it ends.
+The first probe cycle and every ``stats_every``-th one after it also
+read each replica's ``request`` histogram and publish the p95 of the
+requests recorded since the previous stats probe — a windowed figure, so
+a slow spell stops counting against a replica one stats cycle after it
+ends.  The first reading has no earlier one and is since-start.
 
 That view is the :class:`RoutingTable` — an immutable snapshot, swapped
 atomically and versioned, mapping every shard to its replicas' health and
@@ -391,17 +392,19 @@ class ClusterManager:
         Endpoints are probed **concurrently** (one short-lived thread
         each): a black-holed host that eats the full ``probe_timeout``
         must only stall its own probe, not delay detection and recovery
-        for every other replica.  Every ``stats_every``-th cycle fetches
-        the heavier ``stats`` payload (the windowed p95); the in-between
-        cycles only ``ping`` (shard identity + queue depth), keeping the
-        steady-state probe cost one tiny frame per replica.
+        for every other replica.  The first cycle and every
+        ``stats_every``-th one after it fetch the heavier ``stats``
+        payload (the windowed p95), so the table published by
+        :meth:`start` already holds each replica's since-start p95; the
+        in-between cycles only ``ping`` (shard identity + queue depth),
+        keeping the steady-state probe cost one tiny frame per replica.
 
         Lease expiry is checked *before and after* probing, so a wedged
         probe socket cannot delay a revocation the clock already
         justifies.
         """
-        self._cycle += 1
         want_stats = self._cycle % self.stats_every == 0
+        self._cycle += 1
         now = self._clock()
         with self._lock:
             if self._check_leases(now):

@@ -352,6 +352,22 @@ class TestWindowedP95:
         assert manager.probe_once().route_of(E0).p95_ms == 0.0
         manager.stop()
 
+    def test_the_first_probe_is_a_stats_probe(self):
+        """Stats cycles are 1, 1+N, ...: a one-shot scrape, which probes
+        once, reads the since-start p95 whatever ``stats_every`` is."""
+        probe = FakeProbe()
+        manager = _virtual_manager([[E0]], VirtualClock(), {E0: probe}, stats_every=4)
+        for _ in range(20):
+            probe.stats.record_request(EXPLAIN, 0.050)
+        assert manager.probe_once().route_of(E0).p95_ms == pytest.approx(63.8976)
+        for _ in range(200):
+            probe.stats.record_request(EXPLAIN, 0.0003)
+        for _ in range(3):  # cycles 2-4 only ping
+            assert manager.probe_once().route_of(E0).p95_ms == pytest.approx(63.8976)
+        assert manager.probe_once().route_of(E0).p95_ms == pytest.approx(0.4992)
+        assert probe.stats_calls == 2
+        manager.stop()
+
     def test_a_restarted_replica_reads_since_start(self):
         probe = FakeProbe()
         manager = _virtual_manager([[E0]], VirtualClock(), {E0: probe})

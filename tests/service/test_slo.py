@@ -756,8 +756,8 @@ def slow_fleet(fitted_model, service_dataset):
     The slow replica runs its *own* service whose batch execution sleeps
     80 ms per cycle (cache off so repeats stay slow), so its latency
     shows up exactly where production slowness would: in its request
-    histogram, its latency-ring p95 (probed into the routing table) and
-    the client-observed latency.  The three fast endpoints share one
+    histogram, the p95 the manager's stats probe reads from that
+    histogram into the routing table, and the client-observed latency.  The three fast endpoints share one
     ordinary service.  The slow replica is listed FIRST for shard 0, so
     the first shard-0 request deterministically lands on it before the
     client's latency EMA shifts traffic away.
@@ -1016,6 +1016,34 @@ class TestDoctorCLI:
         doctor_main(["--endpoints", address, "--slo", "custom:errors:0.5", "--json"])
         document = json.loads(capsys.readouterr().out)
         assert list(document["slo"]["objectives"]) == ["custom"]
+
+    def test_one_shot_doctor_names_the_slow_replica(
+        self, slow_fleet, fitted_model, tmp_path, capsys
+    ):
+        """A fresh doctor probes the fleet once before it scrapes; that
+        probe reads every replica's p95, so a one-shot run still names
+        the slow replica."""
+        topology = slow_fleet["topology"]
+        pairs = predicted_pairs(fitted_model, limit=8)
+        manager = _manual_manager(topology)
+        try:
+            with ClusterClient(topology, manager=manager) as client:
+                for pair in pairs:
+                    client.explain(*pair, timeout=60)
+        finally:
+            manager.stop()
+        slow_client = ExEAClient(slow_fleet["slow_service"])
+        for pair in pairs[:4]:
+            slow_client.explain(*pair, timeout=60)
+        topology_path = tmp_path / "cluster.json"
+        topology_path.write_text(json.dumps(topology.to_dict()))
+
+        assert doctor_main(["--topology", str(topology_path), "--json"]) in (0, 1)
+        findings = json.loads(capsys.readouterr().out)["diagnosis"]["findings"]
+        slow = [finding for finding in findings if finding["code"] == "slow-replica"]
+        assert [finding["details"]["endpoint"] for finding in slow] == [
+            slow_fleet["slow_address"]
+        ]
 
     def test_malformed_slo_spec_exits_two_before_connecting(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
